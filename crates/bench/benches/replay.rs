@@ -3,12 +3,13 @@
 //!
 //! `live` is the full pipeline (functional kernel execution feeding the
 //! timing models); `replay` drives a pre-captured binary trace through
-//! the same timing models; `capture` is the one-time functional-only
-//! cost a cold store pays before its first replay.
+//! the same timing models, decoding it frame by frame; `capture` is the
+//! one-time functional-only cost a cold store pays before its first
+//! replay.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use graphpim::config::{PimMode, SystemConfig};
-use graphpim::system::SystemSim;
+use graphpim::system::{Instrumentation, Source, SystemSim};
 use graphpim::tracestore::capture_kernel;
 use graphpim_graph::generate::{GraphSpec, LdbcSize};
 use graphpim_workloads::kernels::Bfs;
@@ -27,7 +28,10 @@ fn bench_live_vs_replay(c: &mut Criterion) {
     });
     group.bench_function("replay", |b| {
         b.iter(|| {
-            criterion::black_box(SystemSim::run_replayed(&trace, &config).expect("valid trace"));
+            criterion::black_box(
+                SystemSim::run(&config, Source::Encoded(&trace), Instrumentation::default())
+                    .expect("valid trace"),
+            );
         });
     });
     group.bench_function("capture", |b| {

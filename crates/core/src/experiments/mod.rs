@@ -24,7 +24,6 @@
 //! * `GRAPHPIM_CACHE_DIR=<dir>` — persistent run-cache directory
 //!   (default `<tmpdir>/graphpim-run-cache`).
 //! * `GRAPHPIM_NO_CACHE=1` — disable the persistent run cache.
-//! * `GRAPHPIM_VERBOSE=1` — log each simulation as it starts.
 //! * `GRAPHPIM_TRACE_DIR=<dir>` — write one JSONL counter trace per
 //!   freshly simulated run (see [`crate::telemetry`]). Disk-cache hits
 //!   produce no trace; combine with `GRAPHPIM_NO_CACHE=1` to force
@@ -40,11 +39,9 @@
 //!   (default `<tmpdir>/graphpim-trace-store`; see [`crate::tracestore`]).
 //! * `GRAPHPIM_NO_TRACE_STORE=1` — disable trace capture/replay; every
 //!   run executes its kernel live.
-//! * `GRAPHPIM_STREAM_REPLAY=1|0` — memory-lean streaming mode: captures
-//!   stream straight to the store file, cached traces stay in encoded
-//!   form (replayed frame by frame instead of from a flat decoded
-//!   buffer), and live runs pipeline kernel execution against the timing
-//!   models on a second thread. Unset: on at the `1m` scale, off below
+//! * `GRAPHPIM_STREAM_REPLAY=1|0` — memory-lean streaming mode: cached
+//!   traces stay in encoded form and replay frame by frame instead of
+//!   from a flat decoded buffer. Unset: on at the `1m` scale, off below
 //!   it. Results are bit-identical either way (pinned by tests), so this
 //!   knob is deliberately *not* part of
 //!   [`crate::fingerprint::RESULT_ENV_KNOBS`].
@@ -82,7 +79,7 @@ use crate::config::{PimMode, SystemConfig};
 use crate::fingerprint::{fingerprint, result_env_fingerprint};
 use crate::metrics::RunMetrics;
 use crate::perfetto::PerfettoTrace;
-use crate::system::{Instrumentation, SystemSim};
+use crate::system::{Instrumentation, Source, SystemSim};
 use crate::telemetry::TraceExporter;
 use crate::tracestore::{TraceLookup, TraceStore, WorkloadKey};
 use graphpim_graph::generate::{GraphSpec, LdbcSize};
@@ -111,10 +108,9 @@ const GRAPH_SEED: u64 = 7;
 ///   replay (no varint work per run) but several times the encoded size.
 ///   Default at the 1k–100k scales.
 /// * [`Bytes`](LoadedTrace::Bytes) — the raw encoded stream, decoded
-///   frame by frame on a producer thread during each replay (see
-///   [`SystemSim::run_replayed_streaming`]). Default at the 1M scale,
-///   where the decoded form of eight kernels' traces would dominate the
-///   process footprint.
+///   frame by frame inside each replay ([`Source::Encoded`]). Default at
+///   the 1M scale, where the decoded form of eight kernels' traces would
+///   dominate the process footprint.
 ///
 /// Both replay paths are bit-identical on the same bytes.
 #[derive(Debug)]
@@ -304,7 +300,6 @@ pub struct Experiments {
     graphs: OnceMap<(LdbcSize, bool), Arc<CsrGraph>>,
     runs: OnceMap<RunKey, RunMetrics>,
     disk: Option<DiskCache>,
-    verbose: bool,
     simulated: AtomicUsize,
     disk_hits: AtomicUsize,
     /// Snapshot of [`crate::fingerprint::RESULT_ENV_KNOBS`], folded into
@@ -362,7 +357,6 @@ impl Experiments {
             graphs: Mutex::new(HashMap::new()),
             runs: Mutex::new(HashMap::new()),
             disk,
-            verbose: std::env::var("GRAPHPIM_VERBOSE").is_ok(),
             simulated: AtomicUsize::new(0),
             disk_hits: AtomicUsize::new(0),
             env_fingerprint: result_env_fingerprint(),
@@ -379,17 +373,16 @@ impl Experiments {
     /// Same context with the memory-lean streaming mode forced on or off
     /// (overrides `GRAPHPIM_STREAM_REPLAY` and the per-size default).
     /// Results are bit-identical either way; only peak memory and the
-    /// live/replay execution shape change.
+    /// replay path change.
     pub fn with_stream_replay(mut self, enabled: bool) -> Self {
         self.stream_replay = Some(enabled);
         self
     }
 
     /// Whether runs at `size` use the memory-lean streaming mode:
-    /// streaming capture, encoded-bytes trace residency with frame-by-
-    /// frame replay, and pipelined live runs. Forced value if set, else
-    /// on exactly at the 1M scale — the scale where the decoded trace
-    /// buffers stop fitting comfortably.
+    /// encoded-bytes trace residency with frame-by-frame replay. Forced
+    /// value if set, else on exactly at the 1M scale — the scale where
+    /// the decoded trace buffers stop fitting comfortably.
     pub fn stream_replay_for(&self, size: LdbcSize) -> bool {
         self.stream_replay.unwrap_or(size == LdbcSize::M1)
     }
@@ -566,9 +559,7 @@ impl Experiments {
             match disk.lookup(key, fingerprint) {
                 cache::Lookup::Hit(hit) => {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    if self.verbose {
-                        crate::obs::info("engine", "disk hit", &[("key", &key.file_stem())]);
-                    }
+                    crate::obs::debug("engine", "disk hit", &[("key", &key.file_stem())]);
                     let mut profile = self.profile.lock().unwrap();
                     profile.note_disk_hit();
                     profile.record_run(
@@ -587,19 +578,17 @@ impl Experiments {
         } else {
             self.graph(key.size)
         };
-        if self.verbose {
-            crate::obs::info(
-                "engine",
-                "run",
-                &[
-                    ("kernel", &key.kernel),
-                    ("mode", &key.mode),
-                    ("size", &key.size),
-                    ("fus", &key.fus),
-                    ("bw_tenths", &key.bw_tenths),
-                ],
-            );
-        }
+        crate::obs::debug(
+            "engine",
+            "run",
+            &[
+                ("kernel", &key.kernel),
+                ("mode", &key.mode),
+                ("size", &key.size),
+                ("fus", &key.fus),
+                ("bw_tenths", &key.bw_tenths),
+            ],
+        );
         let config = self.config_for(key);
         let make_instrumentation = || Instrumentation {
             trace: self.trace_dir.as_ref().and_then(|dir| {
@@ -632,69 +621,39 @@ impl Experiments {
             attribution: self.attribution,
         };
         let live = || {
-            let mut k = self.build_kernel(key, &graph);
-            if self.stream_replay_for(key.size) {
-                // Pipelined: the kernel runs on a producer thread while
-                // this thread clocks the timing models. Bit-identical to
-                // the sequential path (pinned by tests).
-                SystemSim::run_kernel_pipelined_instrumented(
-                    k.as_mut(),
-                    &graph,
-                    &config,
-                    make_instrumentation(),
-                )
-            } else {
-                SystemSim::run_kernel_instrumented(
-                    k.as_mut(),
-                    &graph,
-                    &config,
-                    make_instrumentation(),
-                )
+            let mut kernel = self.build_kernel(key, &graph);
+            SystemSim::run(
+                &config,
+                Source::Live(&mut |fw| kernel.run(&graph, fw)),
+                make_instrumentation(),
+            )
+            .expect("a live run decodes no trace")
+        };
+        let replayed = self.workload_trace(key, &graph).map(|trace| {
+            let source = match trace.as_ref() {
+                Ok(LoadedTrace::Decoded(decoded)) => Source::Decoded(decoded),
+                Ok(LoadedTrace::Bytes(bytes)) => Source::Encoded(bytes),
+                Err(e) => return Err(e.clone()),
+            };
+            SystemSim::run(&config, source, make_instrumentation())
+        });
+        let (metrics, source) = match replayed {
+            Some(Ok(m)) => {
+                self.profile.lock().unwrap().note_replay();
+                (m, RunSource::Replayed)
             }
-        };
-        let replay_fallback = |e: &dyn std::fmt::Display| {
-            // Should be unreachable — entries are checksum-validated at
-            // load — but a decode failure must degrade to a correct live
-            // run, never a panic.
-            crate::obs::warn(
-                "tracestore",
-                "replay failed; running live",
-                &[("key", &key.file_stem()), ("error", e)],
-            );
-            self.profile.lock().unwrap().note_replay_fallback();
-        };
-        let (metrics, source) = match self.workload_trace(key, &graph) {
-            Some(trace) => match trace.as_ref() {
-                Ok(LoadedTrace::Decoded(decoded)) => {
-                    let m = SystemSim::run_decoded_instrumented(
-                        decoded,
-                        &config,
-                        make_instrumentation(),
-                    );
-                    self.profile.lock().unwrap().note_replay();
-                    (m, RunSource::Replayed)
-                }
-                Ok(LoadedTrace::Bytes(bytes)) => {
-                    match SystemSim::run_replayed_streaming_instrumented(
-                        bytes,
-                        &config,
-                        make_instrumentation(),
-                    ) {
-                        Ok(m) => {
-                            self.profile.lock().unwrap().note_replay();
-                            (m, RunSource::Replayed)
-                        }
-                        Err(e) => {
-                            replay_fallback(&e);
-                            (live(), RunSource::Simulated)
-                        }
-                    }
-                }
-                Err(e) => {
-                    replay_fallback(e);
-                    (live(), RunSource::Simulated)
-                }
-            },
+            Some(Err(e)) => {
+                // Should be unreachable (the codec checksums every trace),
+                // but a decode failure must degrade to a correct live
+                // run, never a panic.
+                crate::obs::warn(
+                    "tracestore",
+                    "replay failed; running live",
+                    &[("key", &key.file_stem()), ("error", &e)],
+                );
+                self.profile.lock().unwrap().note_replay_fallback();
+                (live(), RunSource::Simulated)
+            }
             None => (live(), RunSource::Simulated),
         };
         self.simulated.fetch_add(1, Ordering::Relaxed);
@@ -731,12 +690,11 @@ impl Experiments {
     /// Capture-once, load-once semantics: the first caller for a
     /// distinct `(kernel, graph, threads)` workload either loads the
     /// trace from the store or performs the single functional kernel
-    /// execution and persists it (streaming straight to the store file
-    /// in streaming mode), then loads the bytes into the replay form for
-    /// the context's streaming mode; all concurrent and later callers
-    /// (any mode, FU count, or bandwidth) share the loaded trace. A
-    /// codec error is cached too — `compute` turns it into a live-run
-    /// fallback.
+    /// execution, streaming straight to the store file, then keeps the
+    /// bytes resident in the replay form for the context's streaming
+    /// mode; all concurrent and later callers (any mode, FU count, or
+    /// bandwidth) share the loaded trace. A decode error is cached too —
+    /// `compute` turns it into a live-run fallback.
     fn workload_trace(
         &self,
         key: &RunKey,
@@ -744,7 +702,6 @@ impl Experiments {
     ) -> Option<Arc<Result<LoadedTrace, CodecError>>> {
         let store = self.trace_store.as_ref()?;
         let threads = self.config_for(key).sim.core.cores;
-        let streaming = self.stream_replay_for(key.size);
         let wkey = WorkloadKey {
             kernel: key.kernel.clone(),
             graph: format!("ldbc-{}", key.size.name()),
@@ -758,13 +715,11 @@ impl Experiments {
             let fp = self.trace_fingerprint(key, threads);
             let bytes = match store.lookup(&wkey, fp) {
                 TraceLookup::Hit(bytes) => {
-                    if self.verbose {
-                        crate::obs::info(
-                            "tracestore",
-                            "store hit",
-                            &[("workload", &wkey.file_stem())],
-                        );
-                    }
+                    crate::obs::debug(
+                        "tracestore",
+                        "store hit",
+                        &[("workload", &wkey.file_stem())],
+                    );
                     self.profile.lock().unwrap().note_trace_disk_hit();
                     bytes
                 }
@@ -776,24 +731,11 @@ impl Experiments {
                             _ => profile.note_trace_disk_miss(),
                         }
                     }
-                    if self.verbose {
-                        crate::obs::info(
-                            "tracestore",
-                            "capture",
-                            &[("workload", &wkey.file_stem())],
-                        );
-                    }
+                    crate::obs::debug("tracestore", "capture", &[("workload", &wkey.file_stem())]);
                     let start = Instant::now();
-                    let bytes = if streaming {
-                        store.capture_streaming(&wkey, fp, graph, threads, &mut || {
-                            self.build_kernel(key, graph)
-                        })
-                    } else {
-                        let mut k = self.build_kernel(key, graph);
-                        let bytes = crate::tracestore::capture_kernel(k.as_mut(), graph, threads);
-                        store.store(&wkey, fp, &bytes);
-                        bytes
-                    };
+                    let bytes = store.capture_streaming(&wkey, fp, graph, threads, &mut || {
+                        self.build_kernel(key, graph)
+                    });
                     self.profile
                         .lock()
                         .unwrap()
@@ -801,14 +743,9 @@ impl Experiments {
                     bytes
                 }
             };
-            Arc::new(if streaming {
-                // Keep the encoded bytes resident; validate the framing
-                // up front so a bad entry degrades exactly like a decode
-                // error on the buffered path.
-                match TraceReader::new(&bytes) {
-                    Ok(_) => Ok(LoadedTrace::Bytes(bytes)),
-                    Err(e) => Err(e),
-                }
+            Arc::new(if self.stream_replay_for(key.size) {
+                // Each replay validates the bytes before its first frame.
+                Ok(LoadedTrace::Bytes(bytes))
             } else {
                 // The raw bytes are dropped here; replays only ever
                 // touch the decoded form.
@@ -1450,11 +1387,10 @@ mod tests {
     #[test]
     fn stream_replay_mode_is_bit_identical() {
         use crate::tracestore::TraceStore;
-        // Streaming mode changes the capture path (straight to disk), the
-        // resident trace form (encoded bytes), the replay path (frame-by-
-        // frame on a producer thread), and the live path (pipelined) —
-        // none of which may move a single counter. Exact RunMetrics
-        // equality across both modes, with and without a trace store.
+        // Streaming mode changes the resident trace form (encoded bytes)
+        // and the replay path (frame by frame) — neither of which may
+        // move a single counter. Exact RunMetrics equality across both
+        // modes, with and without a trace store.
         let store_dir =
             std::env::temp_dir().join(format!("graphpim-streamreplay-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&store_dir);

@@ -11,11 +11,13 @@
 //! Barriers synchronize the per-core clocks and wait for in-flight posted
 //! PIM atomics — the consistency argument of Section II-D.
 //!
-//! With a [`TraceExporter`] attached ([`SystemSim::run_kernel_traced`]),
-//! the simulator additionally snapshots every telemetry counter at each
-//! superstep barrier and once more at run end. Collection is pull-based
-//! (components are read, never notified), so a traced run produces
-//! bit-identical [`RunMetrics`].
+//! Every simulation goes through [`SystemSim::run`], which drives one
+//! [`Source`] — a live framework workload, a decoded trace, or encoded
+//! trace bytes — on the calling thread. With a [`TraceExporter`] in the
+//! run's [`Instrumentation`], the simulator additionally snapshots every
+//! telemetry counter at each superstep barrier and once more at run end.
+//! Collection is pull-based (components are read, never notified), so a
+//! traced run produces bit-identical [`RunMetrics`].
 
 use crate::config::{PimMode, SystemConfig};
 use crate::metrics::RunMetrics;
@@ -31,8 +33,8 @@ use graphpim_sim::hmc::{HmcAtomicOp, HmcServed, PacketKind};
 use graphpim_sim::mem::hierarchy::{AccessResult, CacheHierarchy, ServiceLevel};
 use graphpim_sim::mem::Addr;
 use graphpim_sim::telemetry::CounterRegistry;
-use graphpim_sim::trace::codec::{CodecError, DecodedEvent, DecodedTrace, ThreadSpan};
-use graphpim_sim::trace::{Superstep, TraceOp};
+use graphpim_sim::trace::codec::{CodecError, DecodedEvent, DecodedTrace, ThreadSpan, TraceReader};
+use graphpim_sim::trace::{Superstep, TraceEvent, TraceOp};
 use graphpim_sim::Cycle;
 use graphpim_workloads::framework::{Framework, TraceConsumer};
 use graphpim_workloads::kernels::Kernel;
@@ -44,6 +46,21 @@ const BUS_LOCK_PENALTY: f64 = 100.0;
 /// One in this many memory-request lifecycles is exported as a Perfetto
 /// span (full export would dwarf the run it describes).
 const PERFETTO_REQUEST_SAMPLE: u64 = 64;
+
+/// Where a run's instruction stream comes from (see [`SystemSim::run`]).
+/// All three drive the same chunk/barrier sequence through the timing
+/// models, so one workload yields bit-identical metrics from any source.
+pub enum Source<'a> {
+    /// A framework workload executed as the run proceeds: each chunk it
+    /// emits is simulated before the next one is produced. The framework
+    /// runs `config.sim.core.cores` threads.
+    Live(&'a mut dyn FnMut(&mut Framework<'_>)),
+    /// A pre-decoded trace, replayed from its flat op buffer.
+    Decoded(&'a DecodedTrace),
+    /// An encoded trace (see [`graphpim_sim::trace::codec`]), decoded one
+    /// frame at a time as it is replayed.
+    Encoded(&'a [u8]),
+}
 
 /// Optional observers attached to a run. All of them are pull-based or
 /// record already-computed deltas, so any combination leaves the
@@ -210,202 +227,133 @@ impl SystemSim {
         }
     }
 
-    /// Attaches a trace exporter: counters are snapshotted at every
-    /// superstep barrier and at run end. Also enables the cube's per-vault
-    /// histograms. Observation-only — metrics stay bit-identical.
-    pub fn enable_trace(&mut self, trace: TraceExporter) {
-        self.backend.enable_vault_telemetry();
-        self.trace = Some(trace);
-    }
-
-    /// Attaches a Perfetto span exporter: supersteps, per-core busy/stall
-    /// spans, and sampled request lifecycles are recorded and written as
-    /// Chrome trace-event JSON when the run finalizes. Observation-only.
-    pub fn enable_perfetto(&mut self, mut perfetto: PerfettoTrace) {
-        perfetto.process_name(0, "supersteps");
-        perfetto.process_name(1, "cores");
-        perfetto.process_name(2, "requests (sampled)");
-        perfetto.thread_name(0, 0, "superstep");
-        for c in 0..self.cores.len() {
-            perfetto.thread_name(1, c as u32, &format!("core {c}"));
-            perfetto.thread_name(2, c as u32, &format!("core {c} requests"));
-        }
-        self.perfetto = Some(perfetto);
-    }
-
-    /// Turns on cycle attribution in every component (cores, cache
-    /// hierarchy, HMC cube). The ledgers surface as `attrib.*` telemetry
-    /// keys; timing stays bit-identical (the ledgers record deltas the
-    /// timing path already computed).
-    pub fn enable_attribution(&mut self) {
-        self.attribution = true;
-        for core in &mut self.cores {
-            core.enable_attribution();
-        }
-        self.hierarchy.enable_attribution();
-        self.backend.enable_attribution();
-    }
-
-    /// Attaches any combination of observers.
-    pub fn instrument(&mut self, instrumentation: Instrumentation) {
+    /// Attaches a run's observers. Each is observation-only: metrics stay
+    /// bit-identical with any combination attached.
+    fn instrument(&mut self, instrumentation: Instrumentation) {
         if let Some(trace) = instrumentation.trace {
-            self.enable_trace(trace);
+            // Counters are snapshotted at every superstep barrier and at
+            // run end; the backend's per-vault histograms feed them.
+            self.backend.enable_vault_telemetry();
+            self.trace = Some(trace);
         }
-        if let Some(perfetto) = instrumentation.perfetto {
-            self.enable_perfetto(perfetto);
+        if let Some(mut perfetto) = instrumentation.perfetto {
+            // Supersteps, per-core busy/stall spans, and sampled request
+            // lifecycles, written as Chrome trace-event JSON when the run
+            // finalizes.
+            perfetto.process_name(0, "supersteps");
+            perfetto.process_name(1, "cores");
+            perfetto.process_name(2, "requests (sampled)");
+            perfetto.thread_name(0, 0, "superstep");
+            for c in 0..self.cores.len() {
+                perfetto.thread_name(1, c as u32, &format!("core {c}"));
+                perfetto.thread_name(2, c as u32, &format!("core {c} requests"));
+            }
+            self.perfetto = Some(perfetto);
         }
         if instrumentation.attribution {
-            self.enable_attribution();
+            // Cycle attribution in every component, surfaced as `attrib.*`
+            // telemetry keys (the ledgers record deltas the timing path
+            // already computed).
+            self.attribution = true;
+            for core in &mut self.cores {
+                core.enable_attribution();
+            }
+            self.hierarchy.enable_attribution();
+            self.backend.enable_attribution();
         }
     }
 
-    /// Runs a kernel end to end under `config` and returns the metrics.
+    /// Simulates one run of `source` under `config`, with
+    /// `instrumentation` attached, and returns the finalized metrics.
+    ///
+    /// Every source is driven on the calling thread. A live workload's
+    /// chunks and an encoded trace's frames are simulated as they are
+    /// produced, so neither holds more than one chunk of ops at a time.
+    /// A trace captured with `config.sim.core.cores` threads replays
+    /// bit-identically to the live run it came from: replay drives the
+    /// exact chunk/barrier sequence the live run produced. Other thread
+    /// counts fold thread `t` onto core `t % cores`, like a live run with
+    /// that many framework threads.
+    ///
+    /// # Errors
+    ///
+    /// Only [`Source::Encoded`] can fail. Header and checksum problems
+    /// surface before anything is simulated (`TraceReader::new` checks
+    /// the whole buffer up front); a mid-stream decode error — which the
+    /// checksum makes an encoder-bug indicator rather than a corruption
+    /// one — abandons the partial run and is returned.
+    pub fn run(
+        config: &SystemConfig,
+        source: Source<'_>,
+        instrumentation: Instrumentation,
+    ) -> Result<RunMetrics, CodecError> {
+        let mut sys = SystemSim::new(config.clone());
+        sys.instrument(instrumentation);
+        match source {
+            Source::Live(workload) => {
+                let mut fw = Framework::new(config.sim.core.cores, &mut sys);
+                workload(&mut fw);
+                fw.finish();
+            }
+            Source::Decoded(trace) => {
+                for event in trace.events() {
+                    sys.replay_decoded_event(trace, event);
+                }
+            }
+            Source::Encoded(bytes) => {
+                let mut reader = TraceReader::new(bytes)?;
+                while let Some(event) = reader.next_event()? {
+                    match event {
+                        TraceEvent::Chunk(step) => sys.chunk(step),
+                        TraceEvent::Barrier => sys.barrier(),
+                    }
+                }
+            }
+        }
+        Ok(sys.into_metrics())
+    }
+
+    /// Runs a kernel end to end under `config`, with no observers.
     pub fn run_kernel(
         kernel: &mut dyn Kernel,
         graph: &CsrGraph,
         config: &SystemConfig,
     ) -> RunMetrics {
-        Self::run_kernel_traced(kernel, graph, config, None)
-    }
-
-    /// [`run_kernel`](Self::run_kernel) with an optional trace exporter.
-    pub fn run_kernel_traced(
-        kernel: &mut dyn Kernel,
-        graph: &CsrGraph,
-        config: &SystemConfig,
-        trace: Option<TraceExporter>,
-    ) -> RunMetrics {
-        Self::run_with_traced(config, trace, |fw| kernel.run(graph, fw))
-    }
-
-    /// [`run_kernel`](Self::run_kernel) with the full observer set.
-    pub fn run_kernel_instrumented(
-        kernel: &mut dyn Kernel,
-        graph: &CsrGraph,
-        config: &SystemConfig,
-        instrumentation: Instrumentation,
-    ) -> RunMetrics {
-        Self::run_with_instrumented(config, instrumentation, |fw| kernel.run(graph, fw))
+        Self::run_with(config, |fw| kernel.run(graph, fw))
     }
 
     /// Runs an arbitrary framework workload (used by the real-world
-    /// applications) and returns the metrics.
-    pub fn run_with<F>(config: &SystemConfig, workload: F) -> RunMetrics
-    where
-        F: FnOnce(&mut Framework<'_>),
-    {
-        Self::run_with_traced(config, None, workload)
-    }
-
-    /// [`run_with`](Self::run_with) with an optional trace exporter.
-    pub fn run_with_traced<F>(
+    /// applications), with no observers.
+    pub fn run_with(
         config: &SystemConfig,
-        trace: Option<TraceExporter>,
-        workload: F,
-    ) -> RunMetrics
-    where
-        F: FnOnce(&mut Framework<'_>),
-    {
-        Self::run_with_instrumented(
-            config,
-            Instrumentation {
-                trace,
-                ..Instrumentation::default()
-            },
-            workload,
-        )
-    }
-
-    /// [`run_with`](Self::run_with) with the full observer set.
-    pub fn run_with_instrumented<F>(
-        config: &SystemConfig,
-        instrumentation: Instrumentation,
-        workload: F,
-    ) -> RunMetrics
-    where
-        F: FnOnce(&mut Framework<'_>),
-    {
-        let threads = config.sim.core.cores;
-        let mut sys = SystemSim::new(config.clone());
-        sys.instrument(instrumentation);
-        {
-            let mut fw = Framework::new(threads, &mut sys);
-            workload(&mut fw);
-            fw.finish();
-        }
-        sys.into_metrics()
-    }
-
-    /// Replays a captured binary trace (see
-    /// [`graphpim_sim::trace::codec`]) through the timing models under
-    /// `config`, without executing any kernel code.
-    ///
-    /// The trace must have been captured with a thread count equal to
-    /// `config.sim.core.cores`; the result is then bit-identical to
-    /// [`run_kernel`](Self::run_kernel) of the same workload under the
-    /// same config — replay drives the exact chunk/barrier event sequence
-    /// a live run produces.
-    pub fn run_replayed(bytes: &[u8], config: &SystemConfig) -> Result<RunMetrics, CodecError> {
-        Self::run_replayed_traced(bytes, config, None)
-    }
-
-    /// [`run_replayed`](Self::run_replayed) with an optional trace
-    /// exporter.
-    pub fn run_replayed_traced(
-        bytes: &[u8],
-        config: &SystemConfig,
-        trace: Option<TraceExporter>,
-    ) -> Result<RunMetrics, CodecError> {
-        Self::run_replayed_instrumented(
-            bytes,
-            config,
-            Instrumentation {
-                trace,
-                ..Instrumentation::default()
-            },
-        )
-    }
-
-    /// [`run_replayed`](Self::run_replayed) with the full observer set.
-    ///
-    /// Decodes the whole trace up front (so codec errors surface before
-    /// any simulation happens), then drives the flat op buffer through the
-    /// timing models — the same fast path as
-    /// [`run_decoded`](Self::run_decoded).
-    pub fn run_replayed_instrumented(
-        bytes: &[u8],
-        config: &SystemConfig,
-        instrumentation: Instrumentation,
-    ) -> Result<RunMetrics, CodecError> {
-        let decoded = DecodedTrace::decode(bytes)?;
-        Ok(Self::run_decoded_instrumented(
-            &decoded,
-            config,
-            instrumentation,
-        ))
-    }
-
-    /// Replays a pre-decoded trace. Decoding once and replaying the flat
-    /// [`TraceOp`] buffer many times is the engine's steady state: every
-    /// timing-config sweep point reuses the same [`DecodedTrace`] without
-    /// touching the varint codec again. Bit-identical to
-    /// [`run_replayed`](Self::run_replayed) on the same bytes.
-    pub fn run_decoded(trace: &DecodedTrace, config: &SystemConfig) -> RunMetrics {
-        Self::run_decoded_instrumented(trace, config, Instrumentation::default())
-    }
-
-    /// [`run_decoded`](Self::run_decoded) with the full observer set.
-    pub fn run_decoded_instrumented(
-        trace: &DecodedTrace,
-        config: &SystemConfig,
-        instrumentation: Instrumentation,
+        mut workload: impl FnMut(&mut Framework<'_>),
     ) -> RunMetrics {
-        let mut sys = SystemSim::new(config.clone());
-        sys.instrument(instrumentation);
-        for event in trace.events() {
-            sys.replay_decoded_event(trace, event);
-        }
-        sys.into_metrics()
+        Self::run(
+            config,
+            Source::Live(&mut workload),
+            Instrumentation::default(),
+        )
+        .expect("a live run decodes no trace")
+    }
+
+    /// Replays a pre-decoded trace, with no observers. Decoding once and
+    /// replaying the flat [`TraceOp`] buffer many times is the engine's
+    /// steady state: every timing-config sweep point reuses the same
+    /// [`DecodedTrace`] without touching the varint codec again.
+    pub fn run_decoded(trace: &DecodedTrace, config: &SystemConfig) -> RunMetrics {
+        Self::run(config, Source::Decoded(trace), Instrumentation::default())
+            .expect("a decoded trace cannot fail to decode")
+    }
+
+    /// Replays encoded trace bytes frame by frame, with no observers —
+    /// the memory-lean form that never materializes the decoded trace.
+    /// Bit-identical to [`run_decoded`](Self::run_decoded) on the same
+    /// trace; errors as for [`Source::Encoded`] in [`run`](Self::run).
+    pub fn run_replayed_streaming(
+        bytes: &[u8],
+        config: &SystemConfig,
+    ) -> Result<RunMetrics, CodecError> {
+        Self::run(config, Source::Encoded(bytes), Instrumentation::default())
     }
 
     /// Feeds one decoded event through the consumer. Public so harnesses
@@ -1242,5 +1190,61 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn small_graph() -> CsrGraph {
+        GraphSpec::uniform(300, 1_500).seed(9).build()
+    }
+
+    fn replay(config: &SystemConfig, source: Source<'_>) -> RunMetrics {
+        SystemSim::run(config, source, Instrumentation::default()).expect("valid trace")
+    }
+
+    #[test]
+    fn encoded_replay_matches_decoded_all_modes() {
+        let g = small_graph();
+        let threads = SystemConfig::hpca(PimMode::Baseline).sim.core.cores;
+        let bytes = crate::tracestore::capture_kernel(&mut PRank::new(2), &g, threads);
+        let decoded = DecodedTrace::decode(&bytes).expect("valid trace");
+        for mode in PimMode::ALL {
+            let config = SystemConfig::hpca(mode);
+            assert_eq!(
+                replay(&config, Source::Decoded(&decoded)),
+                replay(&config, Source::Encoded(&bytes)),
+                "mode {mode:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn corrupt_trace_is_rejected_before_simulating() {
+        let config = SystemConfig::hpca(PimMode::Baseline);
+        let threads = config.sim.core.cores;
+        let mut bytes =
+            crate::tracestore::capture_kernel(&mut Bfs::new(0), &small_graph(), threads);
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x08;
+        let path =
+            std::env::temp_dir().join(format!("graphpim-corrupt-{}.jsonl", std::process::id()));
+        let instrumentation = Instrumentation {
+            trace: Some(TraceExporter::create(&path).expect("create trace")),
+            ..Instrumentation::default()
+        };
+        assert!(SystemSim::run(&config, Source::Encoded(&bytes), instrumentation).is_err());
+        // The whole-buffer checksum fails before the first frame is
+        // simulated, so not even one barrier snapshot was taken.
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn live_run_matches_replay_of_its_own_capture() {
+        // Capture once, then replay the encoded bytes: the engine's path
+        // whenever a trace stays resident in encoded form.
+        let g = small_graph();
+        let config = SystemConfig::hpca(PimMode::GraphPim);
+        let bytes = crate::tracestore::capture_kernel(&mut Bfs::new(0), &g, config.sim.core.cores);
+        let live = SystemSim::run_kernel(&mut Bfs::new(0), &g, &config);
+        assert_eq!(live, replay(&config, Source::Encoded(&bytes)));
     }
 }

@@ -6,8 +6,8 @@
 //! The experiment engine therefore **captures** each distinct workload
 //! once — a purely functional kernel execution streamed through the
 //! binary codec, no timing simulation — and **replays** the stored bytes
-//! through [`SystemSim::run_replayed`](crate::system::SystemSim::run_replayed)
-//! for every sweep point. This mirrors the paper's methodology split:
+//! through [`SystemSim::run`](crate::system::SystemSim::run) for every
+//! sweep point. This mirrors the paper's methodology split:
 //! MacSim generates the instruction trace once, SST's memory timing
 //! models consume it per configuration.
 //!

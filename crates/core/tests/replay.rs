@@ -6,11 +6,12 @@
 use graphpim::config::{PimMode, SystemConfig};
 use graphpim::experiments::{Experiments, RunKey};
 use graphpim::metrics::RunMetrics;
-use graphpim::system::SystemSim;
+use graphpim::system::{Instrumentation, Source, SystemSim};
+use graphpim::telemetry::TraceExporter;
 use graphpim::tracestore::{capture_kernel, TraceStore};
 use graphpim_graph::generate::{GraphSpec, LdbcSize};
 use graphpim_graph::CsrGraph;
-use graphpim_sim::trace::codec::DecodedTrace;
+use graphpim_sim::trace::codec::{CodecError, DecodedTrace, TraceReader};
 use graphpim_workloads::framework::Framework;
 use graphpim_workloads::kernels::{Bfs, Kernel, PRank};
 use std::path::PathBuf;
@@ -23,6 +24,11 @@ fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("graphpim-replay-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Replays encoded trace bytes frame by frame through [`SystemSim::run`].
+fn replay(bytes: &[u8], config: &SystemConfig) -> RunMetrics {
+    SystemSim::run(config, Source::Encoded(bytes), Instrumentation::default()).expect("valid trace")
 }
 
 fn assert_bit_identical(live: &RunMetrics, replayed: &RunMetrics, what: &str) {
@@ -56,7 +62,7 @@ fn replay_is_bit_identical_to_live_run() {
         for mode in [PimMode::Baseline, PimMode::GraphPim, PimMode::UPei] {
             let config = SystemConfig::tiny(mode);
             let live = SystemSim::run_kernel(make().as_mut(), &g, &config);
-            let replayed = SystemSim::run_replayed(&bytes, &config).expect("valid trace");
+            let replayed = replay(&bytes, &config);
             assert_bit_identical(&live, &replayed, &format!("{name} under {mode}"));
         }
         // The same trace also replays faithfully under non-default timing
@@ -65,7 +71,7 @@ fn replay_is_bit_identical_to_live_run() {
             .with_fus_per_vault(4)
             .with_link_bandwidth_factor(0.5);
         let live = SystemSim::run_kernel(make().as_mut(), &g, &tweaked);
-        let replayed = SystemSim::run_replayed(&bytes, &tweaked).expect("valid trace");
+        let replayed = replay(&bytes, &tweaked);
         assert_bit_identical(&live, &replayed, &format!("{name} tweaked"));
     }
 }
@@ -100,7 +106,7 @@ fn replay_matches_live_across_thread_core_ratios() {
             let live = sys.into_metrics();
 
             let what = format!("BFS threads={threads} under {mode:?}");
-            let replayed = SystemSim::run_replayed(&bytes, &config).expect("valid trace");
+            let replayed = replay(&bytes, &config);
             assert_bit_identical(&live, &replayed, &what);
             let fast = SystemSim::run_decoded(&decoded, &config);
             assert_bit_identical(&live, &fast, &format!("{what} (pre-decoded)"));
@@ -111,8 +117,10 @@ fn replay_matches_live_across_thread_core_ratios() {
 #[test]
 fn garbage_bytes_are_rejected_not_replayed() {
     let config = SystemConfig::tiny(PimMode::Baseline);
-    assert!(SystemSim::run_replayed(b"not a trace", &config).is_err());
-    assert!(SystemSim::run_replayed(&[], &config).is_err());
+    for bytes in [&b"not a trace"[..], &[][..]] {
+        let run = SystemSim::run(&config, Source::Encoded(bytes), Instrumentation::default());
+        assert!(run.is_err());
+    }
 }
 
 /// The engine captures each distinct workload once and replays it for
@@ -179,57 +187,88 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Flipping a byte naively cannot reach this path (`TraceReader::new`
 /// verifies the whole-file checksum first), so the corruption is
 /// *resealed*: the end-frame tag becomes an invalid op tag and the FNV-1a
-/// footer is recomputed over the tampered bytes.
+/// footer is recomputed over the tampered bytes. With the decoded form
+/// resident the error surfaces in `DecodedTrace::decode`, before any run
+/// starts; with the encoded form it surfaces in the middle of
+/// `SystemSim::run(Source::Encoded)`, after every superstep has already
+/// been simulated.
 #[test]
 fn mid_replay_decode_error_falls_back_to_live_run() {
-    let store_dir = tmp_dir("fallback");
     let key = RunKey::new("DC", PimMode::GraphPim, LdbcSize::K1);
-
-    let first = Experiments::with_cache(LdbcSize::K1, None)
-        .with_trace_store(Some(TraceStore::at(&store_dir)));
-    let want = first.metrics_for(&key);
-    assert_eq!(first.profile().trace_store().captures, 1);
-    drop(first);
-
-    let mut resealed = 0;
-    for entry in std::fs::read_dir(&store_dir).unwrap() {
-        let path = entry.unwrap().path();
-        if path.extension().is_some_and(|e| e == "trace") {
-            let mut bytes = std::fs::read(&path).unwrap();
-            let len = bytes.len();
-            assert_eq!(bytes[len - 9], 0x00, "end-frame tag precedes the footer");
-            bytes[len - 9] = 0x7F; // no such frame tag
-            let sum = fnv1a(&bytes[..len - 8]).to_le_bytes();
-            bytes[len - 8..].copy_from_slice(&sum);
-            std::fs::write(&path, &bytes).unwrap();
-            resealed += 1;
-        }
-    }
-    assert_eq!(resealed, 1);
-
     // Reference: a cold run with the store disabled entirely.
-    let plain = Experiments::with_cache(LdbcSize::K1, None).with_trace_store(None);
-    let live = plain.metrics_for(&key);
+    let live = Experiments::with_cache(LdbcSize::K1, None)
+        .with_trace_store(None)
+        .metrics_for(&key);
 
-    let second = Experiments::with_cache(LdbcSize::K1, None)
-        .with_trace_store(Some(TraceStore::at(&store_dir)));
-    let got = second.metrics_for(&key);
-    assert_bit_identical(&live, &got, "mid-replay fallback");
-    assert_eq!(
-        got, want,
-        "fallback must also match the original capture run"
-    );
+    for stream_replay in [false, true] {
+        let store_dir = tmp_dir(&format!("fallback-stream-{stream_replay}"));
+        let context = || {
+            Experiments::with_cache(LdbcSize::K1, None)
+                .with_trace_store(Some(TraceStore::at(&store_dir)))
+                .with_stream_replay(stream_replay)
+        };
+        let first = context();
+        let want = first.metrics_for(&key);
+        assert_eq!(first.profile().trace_store().captures, 1);
+        drop(first);
 
-    let counts = second.profile().trace_store();
-    assert_eq!(counts.replay_fallbacks, 1, "exactly one fallback");
-    assert_eq!(
-        counts.corrupt, 0,
-        "resealed trace passes the integrity check"
-    );
-    assert_eq!(counts.captures, 0, "fallback runs live without recapturing");
-    assert_eq!(counts.replays, 0, "a failed replay is not a replay");
+        let mut resealed = Vec::new();
+        for entry in std::fs::read_dir(&store_dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "trace") {
+                let mut bytes = std::fs::read(&path).unwrap();
+                let len = bytes.len();
+                assert_eq!(bytes[len - 9], 0x00, "end-frame tag precedes the footer");
+                bytes[len - 9] = 0x7F; // no such frame tag
+                let sum = fnv1a(&bytes[..len - 8]).to_le_bytes();
+                bytes[len - 8..].copy_from_slice(&sum);
+                std::fs::write(&path, &bytes).unwrap();
+                resealed.push(bytes);
+            }
+        }
+        assert_eq!(resealed.len(), 1);
+        let bytes = &resealed[0];
+        let bad_tag = |e: &CodecError| *e == CodecError::BadOpTag(0x7F);
+        if stream_replay {
+            // The header and checksum pass, so the run starts; the bad
+            // tag is only reached after the last barrier was simulated.
+            assert!(TraceReader::new(bytes).is_ok());
+            let snapshots = store_dir.join("partial.jsonl");
+            let instrumentation = Instrumentation {
+                trace: Some(TraceExporter::create(&snapshots).unwrap()),
+                ..Instrumentation::default()
+            };
+            let config = SystemConfig::hpca(key.mode);
+            let err = SystemSim::run(&config, Source::Encoded(bytes), instrumentation)
+                .expect_err("the resealed trace must fail mid-stream");
+            assert!(bad_tag(&err), "unexpected error {err:?}");
+            let taken = std::fs::read_to_string(&snapshots).unwrap();
+            assert!(!taken.is_empty(), "supersteps ran before the error");
+        } else {
+            let err = DecodedTrace::decode(bytes).expect_err("decode must fail");
+            assert!(bad_tag(&err), "unexpected error {err:?}");
+        }
 
-    let _ = std::fs::remove_dir_all(&store_dir);
+        let second = context();
+        let got = second.metrics_for(&key);
+        let what = format!("mid-replay fallback (stream_replay={stream_replay})");
+        assert_bit_identical(&live, &got, &what);
+        assert_eq!(got, want, "{what} must also match the original capture run");
+
+        let counts = second.profile().trace_store();
+        assert_eq!(counts.replay_fallbacks, 1, "{what}: exactly one fallback");
+        assert_eq!(
+            counts.corrupt, 0,
+            "{what}: resealed trace passes the integrity check"
+        );
+        assert_eq!(
+            counts.captures, 0,
+            "{what}: fallback runs live without recapturing"
+        );
+        assert_eq!(counts.replays, 0, "{what}: a failed replay is not a replay");
+
+        let _ = std::fs::remove_dir_all(&store_dir);
+    }
 }
 
 /// A corrupt store entry degrades to recapture, never to a wrong replay.

@@ -1,48 +1,56 @@
-//! Scale-path contracts: the memory-lean streaming/pipelined execution
-//! paths must be bit-identical to the sequential ones on a real LDBC
-//! input, and the LDBC-1M configuration must actually run memory-lean.
+//! Scale-path contracts: replaying a capture from its encoded bytes —
+//! the engine's LDBC-1M path — must be bit-identical to the live run and
+//! to the decoded replay on a real LDBC input, and the LDBC-1M
+//! configuration must actually run memory-lean.
 //!
-//! The unit tests in `stream.rs` pin the same identities on a small
+//! The unit tests in `system.rs` pin the same identities on a small
 //! uniform graph; these run on the engine's LDBC-1k graph (seed 7 — the
 //! exact graph the committed bench baseline simulates) so a divergence
 //! that only shows up under real degree skew is caught too.
 
 use graphpim::config::{PimMode, SystemConfig};
-use graphpim::system::SystemSim;
+use graphpim::metrics::RunMetrics;
+use graphpim::system::{Instrumentation, Source, SystemSim};
 use graphpim::tracestore::capture_kernel;
 use graphpim_graph::generate::{GraphSpec, LdbcSize};
-use graphpim_workloads::kernels::{Bfs, DCentr, Sssp};
+use graphpim_graph::CsrGraph;
+use graphpim_sim::trace::codec::DecodedTrace;
+use graphpim_workloads::kernels::{Bfs, DCentr, Kernel, Sssp};
 
 const ALL_MODES: [PimMode; 3] = [PimMode::Baseline, PimMode::UPei, PimMode::GraphPim];
 
 /// The engine's graph seed (`GRAPH_SEED` in the experiments module).
 const SEED: u64 = 7;
 
-#[test]
-fn pipelined_run_is_bit_identical_on_ldbc_1k() {
-    let graph = GraphSpec::ldbc(LdbcSize::K1).seed(SEED).build();
+fn replay(config: &SystemConfig, source: Source<'_>) -> RunMetrics {
+    SystemSim::run(config, source, Instrumentation::default()).expect("valid trace")
+}
+
+/// Captures `make()`'s workload once, then checks that a live run equals
+/// the frame-by-frame replay of the capture under every mode.
+fn assert_live_matches_encoded_replay(graph: &CsrGraph, make: fn() -> Box<dyn Kernel>) {
+    let threads = SystemConfig::hpca(PimMode::Baseline).sim.core.cores;
+    let bytes = capture_kernel(make().as_mut(), graph, threads);
     for mode in ALL_MODES {
         let config = SystemConfig::hpca(mode);
-        let sequential = SystemSim::run_kernel(&mut Bfs::new(0), &graph, &config);
-        let pipelined = SystemSim::run_kernel_pipelined(&mut Bfs::new(0), &graph, &config);
-        assert_eq!(sequential, pipelined, "BFS diverged under {mode:?}");
-
-        let sequential = SystemSim::run_kernel(&mut DCentr::new(), &graph, &config);
-        let pipelined = SystemSim::run_kernel_pipelined(&mut DCentr::new(), &graph, &config);
-        assert_eq!(sequential, pipelined, "DC diverged under {mode:?}");
+        let live = SystemSim::run_kernel(make().as_mut(), graph, &config);
+        let replayed = replay(&config, Source::Encoded(&bytes));
+        assert_eq!(live, replayed, "{} diverged under {mode:?}", make().name());
     }
 }
 
 #[test]
-fn pipelined_run_is_bit_identical_on_weighted_ldbc_1k() {
+fn live_run_matches_encoded_replay_on_ldbc_1k() {
+    let graph = GraphSpec::ldbc(LdbcSize::K1).seed(SEED).build();
+    assert_live_matches_encoded_replay(&graph, || Box::new(Bfs::new(0)));
+    assert_live_matches_encoded_replay(&graph, || Box::new(DCentr::new()));
+}
+
+#[test]
+fn live_run_matches_encoded_replay_on_weighted_ldbc_1k() {
     // SSSP drives the weighted graph and the CAS-retry path.
     let graph = GraphSpec::ldbc(LdbcSize::K1).seed(SEED).weighted().build();
-    for mode in ALL_MODES {
-        let config = SystemConfig::hpca(mode);
-        let sequential = SystemSim::run_kernel(&mut Sssp::new(0), &graph, &config);
-        let pipelined = SystemSim::run_kernel_pipelined(&mut Sssp::new(0), &graph, &config);
-        assert_eq!(sequential, pipelined, "SSSP diverged under {mode:?}");
-    }
+    assert_live_matches_encoded_replay(&graph, || Box::new(Sssp::new(0)));
 }
 
 #[test]
@@ -50,11 +58,12 @@ fn streaming_replay_is_bit_identical_on_ldbc_1k() {
     let graph = GraphSpec::ldbc(LdbcSize::K1).seed(SEED).build();
     let threads = SystemConfig::hpca(PimMode::Baseline).sim.core.cores;
     let bytes = capture_kernel(&mut Bfs::new(0), &graph, threads);
+    let decoded = DecodedTrace::decode(&bytes).expect("valid trace");
     for mode in ALL_MODES {
         let config = SystemConfig::hpca(mode);
-        let decoded = SystemSim::run_replayed(&bytes, &config).expect("valid trace");
-        let streamed = SystemSim::run_replayed_streaming(&bytes, &config).expect("valid trace");
-        assert_eq!(decoded, streamed, "replay diverged under {mode:?}");
+        let from_decoded = replay(&config, Source::Decoded(&decoded));
+        let streamed = replay(&config, Source::Encoded(&bytes));
+        assert_eq!(from_decoded, streamed, "replay diverged under {mode:?}");
     }
 }
 
@@ -102,7 +111,7 @@ fn ldbc_1m_dc_runs_memory_lean() {
     let config = SystemConfig::hpca(PimMode::GraphPim);
     let threads = config.sim.core.cores;
     let bytes = capture_kernel(&mut DCentr::new(), &graph, threads);
-    let metrics = SystemSim::run_replayed_streaming(&bytes, &config).expect("valid trace");
+    let metrics = replay(&config, Source::Encoded(&bytes));
     assert!(metrics.total_cycles > 0.0);
     assert!(metrics.offloaded_atomics > 0, "DC offloads under GraphPIM");
 

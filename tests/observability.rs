@@ -9,7 +9,7 @@ use graphpim::config::{PimMode, SystemConfig};
 use graphpim::experiments::cache::json;
 use graphpim::metrics::RunMetrics;
 use graphpim::perfetto::PerfettoTrace;
-use graphpim::system::{Instrumentation, SystemSim};
+use graphpim::system::{Instrumentation, Source, SystemSim};
 use graphpim::telemetry::{TraceExporter, TraceSnapshot};
 use graphpim_graph::generate::{GraphSpec, LdbcSize};
 use graphpim_graph::CsrGraph;
@@ -41,7 +41,12 @@ fn run_instrumented(graph: &CsrGraph, mode: PimMode, dir: &Path) -> RunMetrics {
         perfetto: Some(perfetto),
         attribution: true,
     };
-    SystemSim::run_kernel_instrumented(kernel.as_mut(), graph, &SystemConfig::tiny(mode), instr)
+    SystemSim::run(
+        &SystemConfig::tiny(mode),
+        Source::Live(&mut |fw| kernel.run(graph, fw)),
+        instr,
+    )
+    .expect("a live run decodes no trace")
 }
 
 /// The final JSONL snapshot of the run written into `dir`.
