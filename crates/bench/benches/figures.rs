@@ -1,7 +1,7 @@
 //! Criterion benches: one per paper table/figure, each timing a
 //! representative slice of the harness that regenerates it (single kernel,
 //! smoke scale) so `cargo bench` finishes quickly. The full figures are
-//! produced by the `fig*` binaries; these benches track the cost of the
+//! produced by the `figure` binary; these benches track the cost of the
 //! underlying simulation paths and guard against regressions.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -34,16 +34,11 @@ fn bench_tables(c: &mut Criterion) {
     let mut group = c.benchmark_group("tables_1_to_6");
     group.sample_size(10);
     group.bench_function("render", |b| {
-        b.iter(|| {
-            criterion::black_box((
-                tables::table1(),
-                tables::table2(),
-                tables::table3(),
-                tables::table4(),
-                tables::table5(),
-                tables::table6(false),
-            ))
-        })
+        b.iter_batched(
+            ctx,
+            |ctx| criterion::black_box(tables::all(&ctx)),
+            criterion::BatchSize::PerIteration,
+        )
     });
     group.finish();
 }

@@ -1,43 +1,16 @@
 //! Benchmark harness crate for the GraphPIM reproduction.
 //!
-//! This crate exists mainly for its binaries (one per paper table/figure
-//! — see `src/bin/`) and its Criterion benches (`benches/`); the library
-//! part carries only small helpers the binaries share. Start with:
+//! This crate exists mainly for its binaries (`src/bin/`: `figure`
+//! regenerates every paper table and figure) and its Criterion benches
+//! (`benches/`); the library part carries only a helper the binaries
+//! share. Start with:
 //!
 //! ```text
-//! cargo run --release -p graphpim-bench --bin all_figures
+//! cargo run --release -p graphpim-bench --bin figure -- all
 //! cargo run --release -p graphpim-bench --bin run_kernel -- BFS --scale 10k
 //! ```
 
-use graphpim::experiments::{figjson, Experiments};
-
-/// True when the binary was invoked with `--json`.
-///
-/// Figure binaries then print the shared machine-readable document
-/// ([`figjson::figure_json`]) instead of the human-readable table, so
-/// their stdout matches what `graphpim-serve` serves for the same
-/// figure byte for byte (modulo the trailing newline `println!` adds).
-pub fn json_flag() -> bool {
-    std::env::args().skip(1).any(|a| a == "--json")
-}
-
-/// The `--json` front half shared by every figure binary: when the flag
-/// is present, prints the figure's JSON document and returns `true` so
-/// the caller skips its table rendering.
-///
-/// # Panics
-///
-/// Panics if `fig` is not a [`figjson::FIGURES`] id — a binary wiring
-/// bug, not a user error.
-pub fn emit_figure_json(fig: &str, ctx: &Experiments) -> bool {
-    if !json_flag() {
-        return false;
-    }
-    let doc =
-        figjson::figure_json(fig, ctx).unwrap_or_else(|| panic!("{fig} is not a served figure id"));
-    println!("{doc}");
-    true
-}
+use graphpim::experiments::Experiments;
 
 /// Emits the context's trace-store summary to stderr and, when
 /// `GRAPHPIM_STORE_STATS_JSON=<file>` is set, dumps the flat

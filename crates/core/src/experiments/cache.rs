@@ -1,9 +1,9 @@
 //! Persistent on-disk run cache.
 //!
 //! Each simulated run is written as one JSON file named after its
-//! [`RunKey`](super::RunKey) plus a configuration fingerprint, so
-//! `all_figures`, the per-figure binaries, and the test suite share
-//! results across processes instead of redoing each other's simulations.
+//! [`RunKey`](super::RunKey) plus a configuration fingerprint, so the
+//! `figure` binary, the service, and the test suite share results
+//! across processes instead of redoing each other's simulations.
 //!
 //! * `GRAPHPIM_CACHE_DIR` overrides the cache directory (default:
 //!   `<tmpdir>/graphpim-run-cache`).
@@ -381,10 +381,17 @@ fn metrics_from_json(value: &json::Value, key: &RunKey) -> Option<RunMetrics> {
     })
 }
 
-/// Minimal JSON reader for the cache files and the trace exporter.
-/// Numbers are kept as raw source tokens and converted at
+/// Minimal JSON codec for the cache files, the trace exporter, and the
+/// service. Numbers are kept as raw source tokens and converted at
 /// field-extraction time, so `u64` and `f64` both round-trip exactly.
+/// [`quote`] is the workspace's one string writer.
 pub mod json {
+    /// Deepest container nesting [`parse`] accepts. The parser recurses
+    /// once per level, so an unbounded depth lets a hostile document
+    /// overflow the stack; everything this workspace writes nests far
+    /// shallower.
+    pub const MAX_DEPTH: usize = 128;
+
     /// One parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Value {
@@ -394,7 +401,7 @@ pub mod json {
         Array(Vec<Value>),
         /// Number, as its raw source token.
         Num(String),
-        /// String (no escape support beyond `\"` and `\\`).
+        /// String, escapes decoded.
         Str(String),
         /// `true` / `false`.
         Bool(bool),
@@ -463,11 +470,33 @@ pub mod json {
         }
     }
 
-    /// Parses one JSON document; `None` on any syntax error.
+    /// `s` as a JSON string literal: quoted, with `"`, `\` and control
+    /// characters escaped (`\n`, `\r`, `\t` by name, the rest as
+    /// `\u00XX`). [`parse`] reads it back to `s`.
+    pub fn quote(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if c.is_control() => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Parses one JSON document; `None` on any syntax error or past
+    /// [`MAX_DEPTH`] levels of nesting.
     pub fn parse(text: &str) -> Option<Value> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos == bytes.len() {
             Some(value)
@@ -492,11 +521,13 @@ pub mod json {
         }
     }
 
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Option<Value> {
+    /// `depth` counts the containers enclosing this value.
+    fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
         skip_ws(bytes, pos);
         match bytes.get(*pos)? {
-            b'{' => parse_object(bytes, pos),
-            b'[' => parse_array(bytes, pos),
+            b'{' | b'[' if depth == MAX_DEPTH => None,
+            b'{' => parse_object(bytes, pos, depth + 1),
+            b'[' => parse_array(bytes, pos, depth + 1),
             b'"' => parse_string(bytes, pos).map(Value::Str),
             b't' => parse_literal(bytes, pos, "true", Value::Bool(true)),
             b'f' => parse_literal(bytes, pos, "false", Value::Bool(false)),
@@ -505,7 +536,7 @@ pub mod json {
         }
     }
 
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Option<Value> {
+    fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
         eat(bytes, pos, b'{')?;
         let mut fields = Vec::new();
         skip_ws(bytes, pos);
@@ -517,7 +548,7 @@ pub mod json {
             skip_ws(bytes, pos);
             let key = parse_string(bytes, pos)?;
             eat(bytes, pos, b':')?;
-            let value = parse_value(bytes, pos)?;
+            let value = parse_value(bytes, pos, depth)?;
             fields.push((key, value));
             skip_ws(bytes, pos);
             match bytes.get(*pos)? {
@@ -531,7 +562,7 @@ pub mod json {
         }
     }
 
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Option<Value> {
+    fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
         eat(bytes, pos, b'[')?;
         let mut items = Vec::new();
         skip_ws(bytes, pos);
@@ -540,7 +571,7 @@ pub mod json {
             return Some(Value::Array(items));
         }
         loop {
-            items.push(parse_value(bytes, pos)?);
+            items.push(parse_value(bytes, pos, depth)?);
             skip_ws(bytes, pos);
             match bytes.get(*pos)? {
                 b',' => *pos += 1,
@@ -560,26 +591,52 @@ pub mod json {
         *pos += 1;
         let mut out = String::new();
         loop {
-            match bytes.get(*pos)? {
-                b'"' => {
-                    *pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match bytes.get(*pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        _ => return None,
-                    }
-                    *pos += 1;
-                }
-                &b => {
-                    out.push(b as char);
-                    *pos += 1;
-                }
+            // Copy up to the next quote or backslash verbatim. Both are
+            // ASCII, so the run ends on a UTF-8 boundary of the input.
+            let start = *pos;
+            while !matches!(bytes.get(*pos)?, b'"' | b'\\') {
+                *pos += 1;
             }
+            out.push_str(std::str::from_utf8(&bytes[start..*pos]).ok()?);
+            *pos += 1;
+            if bytes[*pos - 1] == b'"' {
+                return Some(out);
+            }
+            let escape = *bytes.get(*pos)?;
+            *pos += 1;
+            out.push(match escape {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'u' => parse_unicode_escape(bytes, pos)?,
+                _ => return None,
+            });
         }
+    }
+
+    /// The character of a `\uXXXX` escape (its `\u` already eaten),
+    /// joining a UTF-16 surrogate pair; `None` for a lone surrogate.
+    fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Option<char> {
+        let mut units = vec![hex4(bytes, pos)?];
+        if (0xD800..0xDC00).contains(&units[0]) && bytes.get(*pos..*pos + 2)? == b"\\u" {
+            *pos += 2;
+            units.push(hex4(bytes, pos)?);
+        }
+        char::decode_utf16(units).next()?.ok()
+    }
+
+    fn hex4(bytes: &[u8], pos: &mut usize) -> Option<u16> {
+        let digits = bytes.get(*pos..*pos + 4)?;
+        if !digits.iter().all(u8::is_ascii_hexdigit) {
+            return None;
+        }
+        *pos += 4;
+        u16::from_str_radix(std::str::from_utf8(digits).ok()?, 16).ok()
     }
 
     fn parse_literal(bytes: &[u8], pos: &mut usize, text: &str, value: Value) -> Option<Value> {
@@ -742,6 +799,51 @@ mod tests {
         assert!(matches!(cache.lookup(&key(), 3), Lookup::Miss));
         assert!(matches!(cache.lookup(&plain, 9), Lookup::Stale));
         let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn json_strings_round_trip_through_quote() {
+        for s in [
+            "\"",
+            "\\",
+            "\n",
+            "\t",
+            "\u{1}",
+            "é",
+            "日本",
+            "a\"b\\c\r\u{7f}d",
+        ] {
+            let doc = json::quote(s);
+            assert_eq!(json::parse(&doc).unwrap().as_str(), Some(s), "{doc}");
+        }
+        let doc = json::parse(r#"{"client": "é", "e": "\u00e9\ud83d\ude00\/\b\f"}"#).unwrap();
+        let obj = doc.as_object().unwrap();
+        assert_eq!(obj.get("client").unwrap().as_str(), Some("é"));
+        assert_eq!(obj.get("e").unwrap().as_str(), Some("é😀/\u{8}\u{c}"));
+        for bad in [
+            r#""\ud83d""#,
+            r#""\ude00x""#,
+            r#""\u12g4""#,
+            r#""\u+123""#,
+            r#""\x""#,
+        ] {
+            assert!(json::parse(bad).is_none(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn json_nesting_is_capped() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(json::parse(&nested(json::MAX_DEPTH)).is_some());
+        assert!(json::parse(&nested(json::MAX_DEPTH + 1)).is_none());
+        let objects = |depth: usize| format!("{}1{}", "{\"a\": ".repeat(depth), "}".repeat(depth));
+        assert!(json::parse(&objects(json::MAX_DEPTH)).is_some());
+        assert!(json::parse(&objects(json::MAX_DEPTH + 1)).is_none());
+        // A request-body-sized hostile document on a default-sized thread
+        // stack: rejected, not a stack overflow.
+        let hostile = "[".repeat(1 << 20);
+        let parsed = std::thread::spawn(move || json::parse(&hostile).is_none());
+        assert!(parsed.join().unwrap());
     }
 
     #[test]

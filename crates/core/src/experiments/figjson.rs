@@ -1,76 +1,113 @@
-//! Machine-readable figure output shared by the CLI binaries and the
-//! experiment service.
+//! The paper's evaluation as one table: every table, figure, and
+//! unplotted study the harness regenerates, in paper order.
 //!
-//! Every served figure renders through [`figure_json`], so
-//! `fig07 --json` on the command line and `GET /figures/fig07` on the
-//! service produce **byte-identical** documents from one code path.
+//! Each [`Figure`] entry gives its run set, its human-readable text, and
+//! — for the twelve figures `graphpim-serve` serves — its JSON document.
+//! The `figure` binary prints from this table and the service answers
+//! `GET /figures/{id}` from it, so `figure fig07 --json` and the served
+//! document are **byte-identical** from one code path.
+//!
 //! Serialization is hand-rolled (the vendored `serde` is a no-op
 //! stand-in; see `vendor/README.md`): floats use Rust's shortest
 //! round-trip formatting (`{:?}`), integers exact decimal — the same
 //! discipline as the [run cache](super::cache), so identical cached runs
 //! render identically everywhere.
-//!
-//! Figure 17 is deliberately absent: it is a standalone design-space
-//! sweep with its own driver, not a run-key figure over the shared
-//! [`Experiments`] context.
 
+use super::cache::json::quote;
 use super::{
-    fig01, fig02, fig04, fig07, fig09, fig10, fig11, fig12, fig13, fig14, fig15, fig16,
-    Experiments, RunKey,
+    ablation, fig01, fig02, fig04, fig07, fig09, fig10, fig11, fig12, fig13, fig14, fig15, fig16,
+    fig17, hybrid, tables, Experiments, RunKey,
 };
-use std::fmt::Write as _;
 
-/// Figure ids accepted by [`figure_json`] and [`figure_keys`], in paper
-/// order.
-pub const FIGURES: [&str; 12] = [
-    "fig01", "fig02", "fig04", "fig07", "fig09", "fig10", "fig11", "fig12", "fig13", "fig14",
-    "fig15", "fig16",
-];
-
-/// The run set figure `fig` needs (for prewarming, sweep submission, and
-/// cached-figure probes), or `None` for an unknown id.
-pub fn figure_keys(fig: &str, ctx: &Experiments) -> Option<Vec<RunKey>> {
-    Some(match fig {
-        "fig01" => fig01::keys(ctx),
-        "fig02" => fig02::keys(ctx),
-        "fig04" => fig04::keys(ctx),
-        "fig07" => fig07::keys(ctx),
-        "fig09" => fig09::keys(ctx),
-        "fig10" => fig10::keys(ctx),
-        "fig11" => fig11::keys(ctx),
-        "fig12" => fig12::keys(ctx),
-        "fig13" => fig13::keys(ctx),
-        "fig14" => fig14::keys(ctx),
-        "fig15" => fig15::keys(ctx),
-        "fig16" => fig16::keys(ctx),
-        _ => return None,
-    })
+/// One entry of the evaluation: a paper table or figure, or a study the
+/// paper discusses without plotting.
+pub struct Figure {
+    /// The id `figure` (and, for served figures, the service) accepts.
+    pub id: &'static str,
+    /// The runs the entry reads from the context. Once they are
+    /// prewarmed, `text` and the JSON document simulate nothing more
+    /// through it.
+    pub keys: fn(&Experiments) -> Vec<RunKey>,
+    /// The human-readable text, every line newline-terminated.
+    pub text: fn(&Experiments) -> String,
+    json: Option<fn(&Experiments) -> Doc>,
 }
 
-/// Runs (or recalls) figure `fig` and renders its rows as one JSON
-/// document, or `None` for an unknown id. Deterministic for a given set
-/// of run results — see the module docs.
-pub fn figure_json(fig: &str, ctx: &Experiments) -> Option<String> {
-    let mut rows: Vec<String> = Vec::new();
-    let mut extra = String::new();
-    match fig {
-        "fig01" => {
-            for r in fig01::run(ctx) {
-                rows.push(format!(
-                    "{{\"workload\": \"{}\", \"category\": \"{}\", \"ipc\": {:?}}}",
-                    escape(&r.workload),
+/// A served figure's payload inside the shared JSON envelope: extra
+/// top-level fields (each a complete `  "name": value,` line), then one
+/// object per row.
+struct Doc {
+    fields: String,
+    rows: Vec<String>,
+}
+
+/// A payload of rows alone.
+fn doc(rows: impl Iterator<Item = String>) -> Doc {
+    Doc {
+        fields: String::new(),
+        rows: rows.collect(),
+    }
+}
+
+impl Figure {
+    /// Whether the entry has a JSON document, i.e. is served.
+    pub fn served(&self) -> bool {
+        self.json.is_some()
+    }
+
+    /// The JSON document, or `None` for a text-only entry.
+    pub fn json(&self, ctx: &Experiments) -> Option<String> {
+        let Doc { fields, rows } = (self.json?)(ctx);
+        let rows = if rows.is_empty() {
+            String::new()
+        } else {
+            format!("\n    {}\n  ", rows.join(",\n    "))
+        };
+        let (id, scale) = (self.id, ctx.size().name());
+        Some(format!(
+            "{{\n  \"figure\": \"{id}\",\n  \"scale\": \"{scale}\",\n{fields}  \"rows\": [{rows}]\n}}"
+        ))
+    }
+}
+
+/// The workloads of the hybrid HMC + DRAM sweep.
+const HYBRID_KERNELS: [&str; 3] = ["BFS", "DC", "CComp"];
+
+/// Every entry, in paper order: Tables I–VI, Figures 1–17 (with Table
+/// VIII), then the ablation and hybrid studies.
+pub const ENTRIES: &[Figure] = &[
+    Figure {
+        id: "tables",
+        keys: |_| Vec::new(),
+        text: |ctx| tables::all(ctx).iter().map(|t| format!("{t}\n")).collect(),
+        json: None,
+    },
+    Figure {
+        id: "fig01",
+        keys: fig01::keys,
+        text: |ctx| format!("{}\n", fig01::table(&fig01::run(ctx))),
+        json: Some(|ctx| {
+            doc(fig01::run(ctx).iter().map(|r| {
+                format!(
+                    "{{\"workload\": {}, \"category\": \"{}\", \"ipc\": {:?}}}",
+                    quote(&r.workload),
                     r.category,
                     r.ipc
-                ));
-            }
-        }
-        "fig02" => {
-            for r in fig02::run(ctx) {
-                rows.push(format!(
-                    "{{\"workload\": \"{}\", \"retiring\": {:?}, \"frontend\": {:?}, \
+                )
+            }))
+        }),
+    },
+    Figure {
+        id: "fig02",
+        keys: fig02::keys,
+        text: |ctx| format!("{}\n", fig02::table(&fig02::run(ctx))),
+        json: Some(|ctx| {
+            doc(fig02::run(ctx).iter().map(|r| {
+                format!(
+                    "{{\"workload\": {}, \"retiring\": {:?}, \"frontend\": {:?}, \
                      \"bad_speculation\": {:?}, \"backend\": {:?}, \"l1_mpki\": {:?}, \
                      \"l2_mpki\": {:?}, \"l3_mpki\": {:?}}}",
-                    escape(&r.workload),
+                    quote(&r.workload),
                     r.breakdown.retiring,
                     r.breakdown.frontend,
                     r.breakdown.bad_speculation,
@@ -78,165 +115,247 @@ pub fn figure_json(fig: &str, ctx: &Experiments) -> Option<String> {
                     r.l1_mpki,
                     r.l2_mpki,
                     r.l3_mpki
-                ));
-            }
-        }
-        "fig04" => {
-            for r in fig04::run(ctx) {
-                rows.push(format!(
-                    "{{\"workload\": \"{}\", \"normalized_time\": {:?}}}",
-                    escape(&r.workload),
+                )
+            }))
+        }),
+    },
+    Figure {
+        id: "fig04",
+        keys: fig04::keys,
+        text: |ctx| format!("{}\n", fig04::table(&fig04::run(ctx))),
+        json: Some(|ctx| {
+            doc(fig04::run(ctx).iter().map(|r| {
+                format!(
+                    "{{\"workload\": {}, \"normalized_time\": {:?}}}",
+                    quote(&r.workload),
                     r.normalized_time
-                ));
-            }
-        }
-        "fig07" => {
-            for r in fig07::run(ctx) {
-                rows.push(format!(
-                    "{{\"workload\": \"{}\", \"upei\": {:?}, \"graphpim\": {:?}}}",
-                    escape(&r.workload),
+                )
+            }))
+        }),
+    },
+    Figure {
+        id: "fig07",
+        keys: fig07::keys,
+        text: |ctx| format!("{}\n", fig07::table(&fig07::run(ctx))),
+        json: Some(|ctx| {
+            doc(fig07::run(ctx).iter().map(|r| {
+                format!(
+                    "{{\"workload\": {}, \"upei\": {:?}, \"graphpim\": {:?}}}",
+                    quote(&r.workload),
                     r.upei,
                     r.graphpim
-                ));
-            }
-        }
-        "fig09" => {
-            for b in fig09::run(ctx) {
-                rows.push(format!(
-                    "{{\"workload\": \"{}\", \"mode\": \"{}\", \"atomic_incore\": {:?}, \
+                )
+            }))
+        }),
+    },
+    Figure {
+        id: "fig09",
+        keys: fig09::keys,
+        text: |ctx| format!("{}\n", fig09::table(&fig09::run(ctx))),
+        json: Some(|ctx| {
+            doc(fig09::run(ctx).iter().map(|b| {
+                format!(
+                    "{{\"workload\": {}, \"mode\": \"{}\", \"atomic_incore\": {:?}, \
                      \"atomic_incache\": {:?}, \"other\": {:?}}}",
-                    escape(&b.workload),
+                    quote(&b.workload),
                     b.mode.label(),
                     b.atomic_incore,
                     b.atomic_incache,
                     b.other
-                ));
-            }
-        }
-        "fig10" => {
-            for r in fig10::run(ctx) {
-                rows.push(format!(
-                    "{{\"workload\": \"{}\", \"miss_rate\": {:?}, \"candidates\": {}}}",
-                    escape(&r.workload),
+                )
+            }))
+        }),
+    },
+    Figure {
+        id: "fig10",
+        keys: fig10::keys,
+        text: |ctx| format!("{}\n", fig10::table(&fig10::run(ctx))),
+        json: Some(|ctx| {
+            doc(fig10::run(ctx).iter().map(|r| {
+                format!(
+                    "{{\"workload\": {}, \"miss_rate\": {:?}, \"candidates\": {}}}",
+                    quote(&r.workload),
                     r.miss_rate,
                     r.candidates
-                ));
-            }
-        }
-        "fig11" => {
-            let _ = writeln!(
-                extra,
-                "  \"fus\": [{}],",
-                fig11::FU_SWEEP.map(|f| f.to_string()).join(", ")
-            );
-            for r in fig11::run(ctx) {
-                rows.push(format!(
-                    "{{\"workload\": \"{}\", \"speedups\": [{}]}}",
-                    escape(&r.workload),
-                    floats(&r.speedups)
-                ));
-            }
-        }
-        "fig12" => {
-            for b in fig12::run(ctx) {
-                rows.push(format!(
-                    "{{\"workload\": \"{}\", \"mode\": \"{}\", \"request\": {:?}, \
+                )
+            }))
+        }),
+    },
+    Figure {
+        id: "fig11",
+        keys: fig11::keys,
+        text: |ctx| format!("{}\n", fig11::table(&fig11::run(ctx))),
+        json: Some(|ctx| Doc {
+            fields: format!("  \"fus\": {:?},\n", fig11::FU_SWEEP),
+            ..doc(fig11::run(ctx).iter().map(|r| {
+                format!(
+                    "{{\"workload\": {}, \"speedups\": {:?}}}",
+                    quote(&r.workload),
+                    r.speedups
+                )
+            }))
+        }),
+    },
+    Figure {
+        id: "fig12",
+        keys: fig12::keys,
+        text: |ctx| format!("{}\n", fig12::table(&fig12::run(ctx))),
+        json: Some(|ctx| {
+            doc(fig12::run(ctx).iter().map(|b| {
+                format!(
+                    "{{\"workload\": {}, \"mode\": \"{}\", \"request\": {:?}, \
                      \"response\": {:?}}}",
-                    escape(&b.workload),
+                    quote(&b.workload),
                     b.mode.label(),
                     b.request,
                     b.response
-                ));
-            }
-        }
-        "fig13" => {
-            let _ = writeln!(
-                extra,
-                "  \"bw_tenths\": [{}],",
-                fig13::BW_SWEEP.map(|b| b.to_string()).join(", ")
-            );
-            for r in fig13::run(ctx) {
-                rows.push(format!(
-                    "{{\"workload\": \"{}\", \"baseline\": [{}], \"graphpim\": [{}]}}",
-                    escape(&r.workload),
-                    floats(&r.baseline),
-                    floats(&r.graphpim)
-                ));
-            }
-        }
-        "fig14" => {
-            for c in fig14::run(ctx) {
-                rows.push(format!(
-                    "{{\"workload\": \"{}\", \"size\": \"{}\", \
+                )
+            }))
+        }),
+    },
+    Figure {
+        id: "fig13",
+        keys: fig13::keys,
+        text: |ctx| format!("{}\n", fig13::table(&fig13::run(ctx))),
+        json: Some(|ctx| Doc {
+            fields: format!("  \"bw_tenths\": {:?},\n", fig13::BW_SWEEP),
+            ..doc(fig13::run(ctx).iter().map(|r| {
+                format!(
+                    "{{\"workload\": {}, \"baseline\": {:?}, \"graphpim\": {:?}}}",
+                    quote(&r.workload),
+                    r.baseline,
+                    r.graphpim
+                )
+            }))
+        }),
+    },
+    Figure {
+        id: "fig14",
+        keys: fig14::keys,
+        text: |ctx| {
+            let cells = fig14::run(ctx);
+            format!("{}\n{}\n", fig14::table_a(&cells), fig14::table_b(&cells))
+        },
+        json: Some(|ctx| {
+            doc(fig14::run(ctx).iter().map(|c| {
+                format!(
+                    "{{\"workload\": {}, \"size\": \"{}\", \
                      \"improvement_over_upei\": {:?}, \"speedup_over_baseline\": {:?}}}",
-                    escape(&c.workload),
+                    quote(&c.workload),
                     c.size.name(),
                     c.improvement_over_upei,
                     c.speedup_over_baseline
-                ));
-            }
-        }
-        "fig15" => {
-            for b in fig15::run(ctx) {
-                rows.push(format!(
-                    "{{\"workload\": \"{}\", \"mode\": \"{}\", \"caches\": {:?}, \
+                )
+            }))
+        }),
+    },
+    Figure {
+        id: "fig15",
+        keys: fig15::keys,
+        text: |ctx| {
+            let bars = fig15::run(ctx);
+            format!(
+                "{}\nAverage normalized GraphPIM uncore energy: {:.2} (paper: 0.63)\n",
+                fig15::table(&bars),
+                fig15::average_graphpim_energy(&bars)
+            )
+        },
+        json: Some(|ctx| {
+            doc(fig15::run(ctx).iter().map(|b| {
+                format!(
+                    "{{\"workload\": {}, \"mode\": \"{}\", \"caches\": {:?}, \
                      \"hmc_link\": {:?}, \"hmc_fu\": {:?}, \"hmc_logic\": {:?}, \
                      \"hmc_dram\": {:?}}}",
-                    escape(&b.workload),
+                    quote(&b.workload),
                     b.mode.label(),
                     b.energy.caches,
                     b.energy.hmc_link,
                     b.energy.hmc_fu,
                     b.energy.hmc_logic,
                     b.energy.hmc_dram
-                ));
-            }
-        }
-        "fig16" => {
-            for r in fig16::run(ctx) {
-                rows.push(format!(
-                    "{{\"workload\": \"{}\", \"simulated\": {:?}, \"analytical\": {:?}}}",
-                    escape(&r.workload),
+                )
+            }))
+        }),
+    },
+    Figure {
+        id: "fig16",
+        keys: fig16::keys,
+        text: |ctx| {
+            let rows = fig16::run(ctx);
+            format!(
+                "{}\nMean relative error: {:.2}% (paper: 7.72%)\n",
+                fig16::table(&rows),
+                fig16::mean_error(&rows) * 100.0
+            )
+        },
+        json: Some(|ctx| {
+            doc(fig16::run(ctx).iter().map(|r| {
+                format!(
+                    "{{\"workload\": {}, \"simulated\": {:?}, \"analytical\": {:?}}}",
+                    quote(&r.workload),
                     r.simulated,
                     r.analytical
-                ));
-            }
+                )
+            }))
+        }),
+    },
+    // A standalone design-space sweep over its own RMAT stand-in graphs
+    // (`GRAPHPIM_APP_SCALE`), not over the shared context.
+    Figure {
+        id: "fig17",
+        keys: |_| Vec::new(),
+        text: |_| {
+            let apps = fig17::run();
+            format!("{}\n{}\n", fig17::table8(&apps), fig17::table17(&apps))
+        },
+        json: None,
+    },
+    Figure {
+        id: "ablation",
+        keys: |_| Vec::new(),
+        text: |ctx| format!("{}\n", ablation::table(&ablation::run(ctx))),
+        json: None,
+    },
+    Figure {
+        id: "hybrid",
+        keys: |ctx| hybrid::keys(ctx, &HYBRID_KERNELS),
+        text: |ctx| format!("{}\n", hybrid::table(&hybrid::run(ctx, &HYBRID_KERNELS))),
+        json: None,
+    },
+];
+
+/// Ids of the served figures (the entries with a JSON document), in
+/// paper order: what `GET /figures` lists.
+pub const FIGURES: [&str; 12] = {
+    let mut ids = [""; 12];
+    let (mut i, mut n) = (0, 0);
+    while i < ENTRIES.len() {
+        if ENTRIES[i].json.is_some() {
+            ids[n] = ENTRIES[i].id;
+            n += 1;
         }
-        _ => return None,
+        i += 1;
     }
-    let mut s = String::with_capacity(128 + rows.iter().map(String::len).sum::<usize>());
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"figure\": \"{fig}\",");
-    let _ = writeln!(s, "  \"scale\": \"{}\",", ctx.size().name());
-    s.push_str(&extra);
-    s.push_str("  \"rows\": [");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("\n    ");
-        s.push_str(row);
-    }
-    if !rows.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("]\n}");
-    Some(s)
+    assert!(n == ids.len(), "FIGURES has one slot per served entry");
+    ids
+};
+
+fn served(fig: &str) -> Option<&'static Figure> {
+    ENTRIES.iter().find(|f| f.id == fig && f.served())
 }
 
-/// Comma-joins floats with round-trip (`{:?}`) formatting.
-fn floats(values: &[f64]) -> String {
-    values
-        .iter()
-        .map(|v| format!("{v:?}"))
-        .collect::<Vec<_>>()
-        .join(", ")
+/// The run set served figure `fig` needs (for prewarming, sweep
+/// submission, and cached-figure probes), or `None` if `fig` is not a
+/// served figure.
+pub fn figure_keys(fig: &str, ctx: &Experiments) -> Option<Vec<RunKey>> {
+    served(fig).map(|f| (f.keys)(ctx))
 }
 
-/// Escapes the two characters the cache's JSON reader understands
-/// (`"` and `\`); workload and mode labels are plain ASCII anyway.
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// Runs (or recalls) served figure `fig` and renders it as one JSON
+/// document, or `None` if `fig` is not a served figure. Deterministic
+/// for a given set of run results — see the module docs.
+pub fn figure_json(fig: &str, ctx: &Experiments) -> Option<String> {
+    served(fig)?.json(ctx)
 }
 
 #[cfg(test)]
@@ -244,13 +363,39 @@ mod tests {
     use super::*;
     use crate::experiments::cache::json;
     use crate::experiments::testctx;
+    use graphpim_graph::generate::LdbcSize;
 
     #[test]
-    fn unknown_figures_are_rejected() {
+    fn entries_are_unique_and_in_paper_order() {
+        let ids: Vec<&str> = ENTRIES.iter().map(|f| f.id).collect();
+        assert_eq!(
+            ids,
+            [
+                "tables", "fig01", "fig02", "fig04", "fig07", "fig09", "fig10", "fig11", "fig12",
+                "fig13", "fig14", "fig15", "fig16", "fig17", "ablation", "hybrid"
+            ]
+        );
+    }
+
+    #[test]
+    fn served_figures_are_unchanged() {
+        // `GET /figures` lists exactly these, in this order.
+        assert_eq!(
+            FIGURES,
+            [
+                "fig01", "fig02", "fig04", "fig07", "fig09", "fig10", "fig11", "fig12", "fig13",
+                "fig14", "fig15", "fig16"
+            ]
+        );
+    }
+
+    #[test]
+    fn text_only_and_unknown_ids_are_not_served() {
         let ctx = testctx::k1();
-        assert!(figure_keys("fig99", ctx).is_none());
-        assert!(figure_json("fig99", ctx).is_none());
-        assert!(figure_keys("fig17", ctx).is_none(), "fig17 is standalone");
+        for fig in ["tables", "fig17", "ablation", "hybrid", "all", "fig99"] {
+            assert!(figure_keys(fig, ctx).is_none(), "{fig} has no served keys");
+            assert!(figure_json(fig, ctx).is_none(), "{fig} has no JSON");
+        }
     }
 
     #[test]
@@ -290,6 +435,30 @@ mod tests {
             let parsed = json::parse(&doc).unwrap_or_else(|| panic!("{fig} must parse: {doc}"));
             let rows = parsed.as_object().unwrap().get("rows").unwrap();
             assert!(!rows.as_array().unwrap().is_empty(), "{fig} has rows");
+        }
+    }
+
+    /// The run sets are complete: once their union is prewarmed, every
+    /// entry renders from memo without looking up another run. The memo
+    /// table's size is the witness, not the simulation counter: a run
+    /// missing from a run set but present in the disk cache would load
+    /// without simulating. A dedicated context, so no concurrent test
+    /// adds runs to it.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
+    fn prewarmed_run_sets_cover_every_entry() {
+        let ctx = Experiments::at_scale(LdbcSize::K1);
+        ctx.prewarm(ENTRIES.iter().flat_map(|f| (f.keys)(&ctx)));
+        let prewarmed = ctx.cached_runs();
+        for entry in ENTRIES {
+            assert!((entry.text)(&ctx).ends_with('\n'), "{}", entry.id);
+            assert_eq!(entry.json(&ctx).is_some(), entry.served(), "{}", entry.id);
+            assert_eq!(
+                ctx.cached_runs(),
+                prewarmed,
+                "{} looked up a run outside its run set",
+                entry.id
+            );
         }
     }
 }

@@ -776,7 +776,7 @@ impl Experiments {
     }
 
     /// Flat JSON document of the `tracestore.*` telemetry counters
-    /// (written by the figure binaries under `GRAPHPIM_STORE_STATS_JSON`).
+    /// (written by the `figure` binary under `GRAPHPIM_STORE_STATS_JSON`).
     pub fn store_stats_json(&self) -> String {
         let reg = self.profile.lock().unwrap().tracestore_counters();
         let mut s = String::from("{\n");
@@ -1089,7 +1089,7 @@ pub fn parse_scale(value: &str) -> Result<LdbcSize, String> {
 ///
 /// A garbage value warns and falls back instead of aborting: the thread
 /// count only affects wall time, never results, so a typo is not worth
-/// killing an `all_figures` sweep over (unlike `GRAPHPIM_SCALE`, where a
+/// killing a `figure all` sweep over (unlike `GRAPHPIM_SCALE`, where a
 /// silent fallback would produce figures at the wrong scale).
 pub fn worker_threads() -> usize {
     let fallback = || {

@@ -2,9 +2,9 @@
 //!
 //! [`EngineProfile`] records, per run, whether the result came from the
 //! disk cache or a fresh simulation and how long it took; per `prewarm`
-//! fan-out, how well the worker pool was utilized. The `all_figures`
-//! driver prints [`EngineProfile::summary`] at the end of a sweep and can
-//! dump [`EngineProfile::to_json`] via `GRAPHPIM_PROFILE_JSON`.
+//! fan-out, how well the worker pool was utilized. The `figure` binary
+//! prints [`EngineProfile::summary`] at the end of a sweep and can dump
+//! [`EngineProfile::to_json`] via `GRAPHPIM_PROFILE_JSON`.
 //!
 //! Wall times are measured around the experiment engine, not inside the
 //! simulator, so profiling never touches simulated timing.

@@ -4,12 +4,19 @@
 //! them from the same data structures the simulator executes, so the
 //! printed rows are guaranteed to match the implementation.
 
+use super::{Experiments, GRAPH_SEED};
 use crate::config::{PimMode, SystemConfig};
 use crate::report::Table;
-use graphpim_graph::generate::LdbcSize;
+use graphpim_graph::generate::{GraphSpec, LdbcSize};
 use graphpim_graph::stats::GraphStats;
 use graphpim_sim::hmc::{HmcAtomicOp, PacketKind};
 use graphpim_workloads::kernels::{full_set, Applicability, KernelParams};
+
+/// Tables I–VI in paper order; Table VI as [`table6`] measures it.
+pub fn all(ctx: &Experiments) -> [Table; 6] {
+    let datasets = table6(ctx);
+    [table1(), table2(), table3(), table4(), table5(), datasets]
+}
 
 /// Table I: the HMC 2.0 atomic command set.
 pub fn table1() -> Table {
@@ -134,8 +141,12 @@ pub fn table5() -> Table {
     t
 }
 
-/// Table VI: the experiment datasets, with generated statistics.
-pub fn table6(include_large: bool) -> Table {
+/// Table VI: the experiment datasets, with generated statistics. The
+/// LDBC-1M row is measured only in a context at that scale; below it the
+/// row keeps the paper's numbers. The row at the context's own scale
+/// reads the context's graph, so no graph is generated twice; the others
+/// are generated here and dropped.
+pub fn table6(ctx: &Experiments) -> Table {
     let mut t = Table::new("Table VI: experiment datasets").header([
         "Name",
         "Vertex #",
@@ -143,7 +154,7 @@ pub fn table6(include_large: bool) -> Table {
         "Footprint",
     ]);
     for size in LdbcSize::ALL {
-        if size == LdbcSize::M1 && !include_large {
+        if size == LdbcSize::M1 && ctx.size() != LdbcSize::M1 {
             t.row([
                 size.name().to_string(),
                 size.vertices().to_string(),
@@ -152,10 +163,11 @@ pub fn table6(include_large: bool) -> Table {
             ]);
             continue;
         }
-        let g = graphpim_graph::generate::GraphSpec::ldbc(size)
-            .seed(7)
-            .build();
-        let s = GraphStats::compute(&g);
+        let s = if size == ctx.size() {
+            GraphStats::compute(&ctx.graph(size))
+        } else {
+            GraphStats::compute(&GraphSpec::ldbc(size).seed(GRAPH_SEED).build())
+        };
         t.row([
             size.name().to_string(),
             s.vertices.to_string(),
@@ -206,7 +218,7 @@ mod tests {
 
     #[test]
     fn table6_small_sizes() {
-        let t = table6(false);
+        let t = table6(crate::experiments::testctx::k1());
         assert_eq!(t.row_count(), 4);
         assert!(t.render().contains("LDBC-1k"));
     }

@@ -24,6 +24,7 @@
 
 pub mod prom;
 
+use crate::experiments::cache::json::quote;
 use std::collections::HashSet;
 use std::fmt::Display;
 use std::fmt::Write as _;
@@ -286,42 +287,10 @@ fn needs_quotes(s: &str) -> bool {
 
 fn logfmt_value(out: &mut String, v: &str) {
     if needs_quotes(v) {
-        out.push('"');
-        for c in v.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if c.is_control() => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
+        out.push_str(&quote(v));
     } else {
         out.push_str(v);
     }
-}
-
-fn json_value(out: &mut String, v: &str) {
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if c.is_control() => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn render(format: Format, level: Level, target: &str, msg: &str, fields: &[Field<'_>]) -> String {
@@ -353,22 +322,22 @@ fn render(format: Format, level: Level, target: &str, msg: &str, fields: &[Field
         }
         Format::Json => {
             let _ = write!(line, "{{\"ts\": {secs}.{millis:03}, \"level\": ");
-            json_value(&mut line, level.as_str());
+            line.push_str(&quote(level.as_str()));
             line.push_str(", \"target\": ");
-            json_value(&mut line, target);
+            line.push_str(&quote(target));
             line.push_str(", \"msg\": ");
-            json_value(&mut line, msg);
+            line.push_str(&quote(msg));
             for (k, v) in &context {
                 line.push_str(", ");
-                json_value(&mut line, k);
+                line.push_str(&quote(k));
                 line.push_str(": ");
-                json_value(&mut line, v);
+                line.push_str(&quote(v));
             }
             for (k, v) in fields {
                 line.push_str(", ");
-                json_value(&mut line, k);
+                line.push_str(&quote(k));
                 line.push_str(": ");
-                json_value(&mut line, &v.to_string());
+                line.push_str(&quote(&v.to_string()));
             }
             line.push('}');
         }

@@ -23,6 +23,7 @@
 //! everything in memory and touches the filesystem only in
 //! [`PerfettoTrace::write`], so export cannot perturb timing.
 
+use crate::experiments::cache::json::quote;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -101,7 +102,7 @@ impl PerfettoTrace {
         self.events.push(format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
              \"args\":{{\"name\":{}}}}}",
-            json_string(name)
+            quote(name)
         ));
     }
 
@@ -110,7 +111,7 @@ impl PerfettoTrace {
         self.events.push(format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
              \"args\":{{\"name\":{}}}}}",
-            json_string(name)
+            quote(name)
         ));
     }
 
@@ -135,8 +136,8 @@ impl PerfettoTrace {
         let mut event = format!(
             "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{start:?},\"dur\":{dur:?},\
              \"pid\":{pid},\"tid\":{tid}",
-            json_string(name),
-            json_string(cat),
+            quote(name),
+            quote(cat),
         );
         if !args.is_empty() {
             event.push_str(",\"args\":{");
@@ -144,7 +145,7 @@ impl PerfettoTrace {
                 if i > 0 {
                     event.push(',');
                 }
-                event.push_str(&format!("{}:{value:?}", json_string(key)));
+                event.push_str(&format!("{}:{value:?}", quote(key)));
             }
             event.push('}');
         }
@@ -184,23 +185,6 @@ impl PerfettoTrace {
         w.flush()?;
         Ok(self.path)
     }
-}
-
-/// Escapes `s` as a JSON string literal (quotes, backslashes, control
-/// characters).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

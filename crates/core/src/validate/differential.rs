@@ -25,6 +25,7 @@
 //! and writes the per-kernel deltas as a JSON report; CI runs it at the
 //! 1k scale and uploads the report as an artifact.
 
+use crate::experiments::cache::json::quote;
 use crate::experiments::{fig16, Experiments};
 use std::fmt::Write as _;
 
@@ -135,11 +136,7 @@ impl Report {
         }
         s.push_str("  ],\n");
         s.push_str("  \"failures\": [");
-        let failures: Vec<String> = self
-            .failures
-            .iter()
-            .map(|f| format!("\"{}\"", f.replace('"', "'")))
-            .collect();
+        let failures: Vec<String> = self.failures.iter().map(|f| quote(f)).collect();
         s.push_str(&failures.join(", "));
         s.push_str("]\n}\n");
         s

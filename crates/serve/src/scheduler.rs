@@ -22,6 +22,7 @@
 
 use crate::admission::{AdmissionPolicy, Shed};
 use crate::cost::CostModel;
+use graphpim::experiments::cache::json;
 use graphpim::experiments::profile::RunSource;
 use graphpim::experiments::{Experiments, RunKey};
 use std::cmp::Reverse;
@@ -148,12 +149,12 @@ impl Job {
     pub fn snapshot_json(&self) -> String {
         let state = crate::sync::lock(&self.state);
         format!(
-            "{{\"job\": {}, \"label\": \"{}\", \"client\": \"{}\", \"trace\": \"{}\", \
+            "{{\"job\": {}, \"label\": \"{}\", \"client\": {}, \"trace\": \"{}\", \
              \"total\": {}, \
              \"remaining\": {}, \"done\": {}, \"est_seconds\": {:?}, \"events\": {}}}",
             self.id,
             self.label,
-            self.client,
+            json::quote(&self.client),
             self.trace,
             self.total,
             state.remaining,

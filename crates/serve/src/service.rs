@@ -35,6 +35,7 @@ use crate::admission::AdmissionPolicy;
 use crate::cost::CostModel;
 use crate::http::{ChunkedWriter, Request, Response};
 use crate::scheduler::{Job, Scheduler};
+use graphpim::experiments::cache::json;
 use graphpim::experiments::{figjson, Experiments, RunKey, TraceSliceError};
 use graphpim_graph::generate::LdbcSize;
 use graphpim_sim::telemetry::Histogram;
@@ -80,8 +81,8 @@ impl Default for ServeConfig {
 /// The API's uniform error document.
 pub fn error_json(id: &str, message: &str) -> String {
     format!(
-        "{{\"error\": {{\"id\": \"{id}\", \"message\": \"{}\"}}}}",
-        message.replace('\\', "\\\\").replace('"', "\\\"")
+        "{{\"error\": {{\"id\": \"{id}\", \"message\": {}}}}}",
+        json::quote(message)
     )
 }
 
@@ -499,7 +500,7 @@ fn figure(shared: &Shared, fig: &str) -> Response {
         );
     }
     // Every run is cached: rendering resolves from memo/disk, no
-    // simulation. Byte-identical to `cargo run --bin <fig> -- --json`.
+    // simulation. Byte-identical to `figure <fig> --json`.
     match figjson::figure_json(fig, &shared.ctx) {
         Some(doc) => Response::json(200, doc),
         None => Response::json(404, error_json("unknown_figure", fig)),
@@ -602,7 +603,6 @@ fn parse_range(spec: &str) -> Option<(usize, Option<usize>)> {
 }
 
 fn submit_sweep(shared: &Shared, req: &Request, peer: &str) -> Response {
-    use graphpim::experiments::cache::json;
     let Ok(text) = std::str::from_utf8(&req.body) else {
         return Response::json(400, error_json("bad_request", "body is not UTF-8"));
     };

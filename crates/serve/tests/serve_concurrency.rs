@@ -192,6 +192,53 @@ fn concurrent_sweeps_dedup_to_one_simulation_per_key() {
     );
 }
 
+/// A hostile, deeply nested body is a typed 400, not a stack overflow
+/// that takes the whole service down.
+#[test]
+fn deeply_nested_sweep_body_is_rejected() {
+    let (handle, addr, _ctx) = boot(AdmissionPolicy::default());
+    let body = "[".repeat(10_000);
+    let (status, response) =
+        client::request(&addr, "POST", "/sweeps", Some(body.as_bytes()), &[]).expect("submit");
+    let doc = json::parse(&String::from_utf8_lossy(&response)).expect("error document");
+    assert_eq!((status, error_id(&doc).as_str()), (400, "bad_request"));
+    let (status, _) = get_json(&addr, "/healthz");
+    assert_eq!(status, 200, "the service must survive the body");
+    handle.shutdown();
+}
+
+/// The caller-chosen client label is data: a label that tries to inject
+/// fields comes back from `GET /jobs/{id}` as one string field.
+#[test]
+fn client_label_round_trips_through_job_snapshot() {
+    let (handle, addr, _ctx) = boot(AdmissionPolicy::default());
+    let label = r#"evil", "done": true, "x": "\"#;
+    // No keys: the job completes at submission without simulating.
+    let (status, response) = client::request(
+        &addr,
+        "POST",
+        "/sweeps",
+        Some(br#"{"keys": []}"#),
+        &[("X-Client-Id", label)],
+    )
+    .expect("submit");
+    assert_eq!(status, 202, "{}", String::from_utf8_lossy(&response));
+    let accepted = json::parse(&String::from_utf8_lossy(&response)).expect("acceptance");
+    let job = accepted
+        .as_object()
+        .unwrap()
+        .get("job")
+        .unwrap()
+        .as_u64()
+        .unwrap();
+    let (status, doc) = get_json(&addr, &format!("/jobs/{job}"));
+    assert_eq!(status, 200);
+    let doc = doc.as_object().unwrap();
+    assert_eq!(doc.get("client").unwrap().as_str(), Some(label));
+    assert_eq!(doc.get("x"), None, "no injected field");
+    handle.shutdown();
+}
+
 #[test]
 fn admission_sheds_on_budget_and_client_cap() {
     // Zero queue budget: any uncached submission overflows it.
