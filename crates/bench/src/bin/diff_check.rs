@@ -8,7 +8,6 @@
 
 use graphpim::experiments::Experiments;
 use graphpim::validate::differential;
-use graphpim_bench::report_store_stats;
 use std::path::PathBuf;
 
 fn main() {
@@ -29,7 +28,7 @@ fn main() {
         Ok(()) => eprintln!("[diff_check] report written to {}", path.display()),
         Err(e) => eprintln!("[diff_check] failed to write {}: {e}", path.display()),
     }
-    report_store_stats(&ctx);
+    eprint!("{}", ctx.profile().summary());
 
     if !report.passed() {
         eprintln!("[diff_check] FAILED:");

@@ -10,9 +10,8 @@
 //!
 //! Scale, run cache, trace store and tracing follow the usual
 //! environment knobs (README.md). At the end, the simulation counts and
-//! the engine-profiling summary go to stderr;
-//! `GRAPHPIM_PROFILE_JSON=<file>` also dumps the profile as JSON and
-//! `GRAPHPIM_STORE_STATS_JSON=<file>` the trace-store counters.
+//! the engine-profiling summary (trace-store counts included) go to
+//! stderr; `GRAPHPIM_PROFILE_JSON=<file>` also dumps the profile as JSON.
 
 use graphpim::experiments::figjson::{Figure, ENTRIES, FIGURES};
 use graphpim::experiments::Experiments;
@@ -62,7 +61,6 @@ fn main() -> ExitCode {
             Err(e) => eprintln!("[profile] cannot write {}: {e}", path.to_string_lossy()),
         }
     }
-    graphpim_bench::report_store_stats(&ctx);
     ExitCode::SUCCESS
 }
 

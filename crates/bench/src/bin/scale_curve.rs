@@ -2,12 +2,11 @@
 //! increasing LDBC sizes, with an asymptotic gate.
 //!
 //! ```text
-//! scale_curve [--sizes 1k,10k,100k] [--check] [--warn-only] [--out PATH]
+//! scale_curve [--sizes 1k,10k,100k] [--check] [--out PATH]
 //!
 //! --sizes LIST    comma-separated LDBC sizes to run, ascending
 //!                 (default: 1k,10k,100k; add 1m for the nightly tier)
 //! --check         gate wall/RSS growth against edge-count growth
-//! --warn-only     with --check: report violations but exit 0
 //! --out PATH      report path (default: BENCH_SCALE.json)
 //! ```
 //!
@@ -45,16 +44,13 @@ const GROWTH_FACTOR: f64 = 3.0;
 const MIN_GATED_WALL: f64 = 0.2;
 
 fn usage(msg: &str) -> ! {
-    eprintln!(
-        "error: {msg}\n\nUsage: scale_curve [--sizes 1k,10k,100k] [--check] [--warn-only] [--out PATH]"
-    );
+    eprintln!("error: {msg}\n\nUsage: scale_curve [--sizes 1k,10k,100k] [--check] [--out PATH]");
     exit(2)
 }
 
 struct Options {
     sizes: Vec<LdbcSize>,
     check: bool,
-    warn_only: bool,
     out: String,
     child: Option<LdbcSize>,
 }
@@ -63,7 +59,6 @@ fn parse_args() -> Options {
     let mut opts = Options {
         sizes: vec![LdbcSize::K1, LdbcSize::K10, LdbcSize::K100],
         check: false,
-        warn_only: false,
         out: "BENCH_SCALE.json".to_string(),
         child: None,
     };
@@ -81,7 +76,6 @@ fn parse_args() -> Options {
                     .collect();
             }
             "--check" => opts.check = true,
-            "--warn-only" => opts.warn_only = true,
             "--out" => opts.out = value("--out"),
             "--child" => {
                 opts.child = Some(parse_scale(&value("--child")).unwrap_or_else(|e| usage(&e)))
@@ -327,10 +321,72 @@ fn main() {
                 eprintln!("[scale_curve] VIOLATION: {v}");
             }
             eprintln!("[scale_curve] {} violation(s)", violations.len());
-            if !opts.warn_only {
-                exit(1);
-            }
-            eprintln!("[scale_curve] --warn-only: exiting 0 despite violations");
+            exit(1);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MIB: u64 = 1024 * 1024;
+
+    /// A 1k point and a 10k point (10.2x the edges, so 30.6x allowed).
+    fn pair(walls: (f64, f64), rss: (u64, u64)) -> [Point; 2] {
+        let point = |size, edges, wall_seconds, peak_rss_bytes| Point {
+            size,
+            vertices: edges / 30,
+            edges,
+            wall_seconds,
+            peak_rss_bytes,
+            graphpim_geomean: 1.5,
+        };
+        [
+            point(LdbcSize::K1, 29_000, walls.0, rss.0),
+            point(LdbcSize::K10, 296_000, walls.1, rss.1),
+        ]
+    }
+
+    #[test]
+    fn superlinear_wall_time_is_flagged() {
+        assert_eq!(check(&pair((1.0, 30.0), (MIB, MIB))), Vec::<String>::new());
+        let violations = check(&pair((1.0, 40.0), (MIB, MIB)));
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].starts_with("wall time grows superlinearly 1k → 10k"));
+    }
+
+    #[test]
+    fn wall_pair_below_the_gated_minimum_is_skipped() {
+        assert_eq!(
+            check(&pair((0.19, 100.0), (MIB, MIB))),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
+    fn edge_counts_that_do_not_ascend_are_flagged() {
+        let [small, big] = pair((1.0, 1.0), (MIB, MIB));
+        let violations = check(&[big, small]);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].starts_with("sizes not ascending by edge count"));
+    }
+
+    #[test]
+    fn geomean_at_or_below_0_9_is_flagged() {
+        let mut points = pair((1.0, 10.0), (MIB, MIB));
+        points[1].graphpim_geomean = 0.9;
+        let violations = check(&points);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].starts_with("10k: GraphPIM geomean speedup 0.900"));
+    }
+
+    #[test]
+    fn zero_rss_skips_the_rss_check() {
+        let violations = check(&pair((1.0, 10.0), (MIB, 1000 * MIB)));
+        assert!(violations[0].starts_with("peak RSS grows superlinearly"));
+        for rss in [(0, 1000 * MIB), (MIB, 0)] {
+            assert_eq!(check(&pair((1.0, 10.0), rss)), Vec::<String>::new());
         }
     }
 }

@@ -775,20 +775,6 @@ impl Experiments {
         ])
     }
 
-    /// Flat JSON document of the `tracestore.*` telemetry counters
-    /// (written by the `figure` binary under `GRAPHPIM_STORE_STATS_JSON`).
-    pub fn store_stats_json(&self) -> String {
-        let reg = self.profile.lock().unwrap().tracestore_counters();
-        let mut s = String::from("{\n");
-        let entries: Vec<String> = reg
-            .iter()
-            .map(|(k, v)| format!("  \"{k}\": {v:?}"))
-            .collect();
-        s.push_str(&entries.join(",\n"));
-        s.push_str("\n}\n");
-        s
-    }
-
     /// The full system configuration a key resolves to.
     ///
     /// # Panics
