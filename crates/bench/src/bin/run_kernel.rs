@@ -9,7 +9,7 @@
 //!           GCons | GUp | TMorph | TC | Gibbs        (default: BFS)
 //!
 //! --mode M          baseline | upei | graphpim | all  (default: all)
-//! --scale S         1k | 10k | 100k | 1m              (default: 10k)
+//! --scale S         1k | 10k | 100k | 1m, any case    (default: 10k)
 //! --rmat LOG2V      use an RMAT graph instead of LDBC
 //! --edge-list PATH  load a text edge list (src dst [weight] per line)
 //! --fus N           atomic FUs per vault              (default: 16)
@@ -19,14 +19,14 @@
 //! --seed N          graph generator seed              (default: 7)
 //! ```
 //!
-//! With `GRAPHPIM_TRACE_DIR=<dir>` set, each run additionally writes a
-//! JSONL counter trace to `<dir>/<kernel>-<mode>.jsonl`;
-//! `GRAPHPIM_PERFETTO_DIR=<dir>` likewise writes a Chrome trace-event
-//! file `<kernel>-<mode>.trace.json` for ui.perfetto.dev, and
-//! `GRAPHPIM_ATTRIB=1` adds `attrib.*` cycle-attribution counters.
+//! With `GRAPHPIM_PERFETTO_DIR=<dir>` set, each run additionally writes a
+//! Chrome trace-event file `<dir>/<kernel>-<mode>.trace.json` for
+//! ui.perfetto.dev: spans, plus every counter at each superstep barrier
+//! and at run end. `GRAPHPIM_ATTRIB=1` adds `attrib.*` cycle-attribution
+//! counters to those counter events.
 
 use graphpim::config::{PimMode, SystemConfig};
-use graphpim::experiments::pick_root;
+use graphpim::experiments::{parse_scale, pick_root};
 use graphpim::system::{Instrumentation, Source, SystemSim};
 use graphpim_graph::generate::{GraphSpec, LdbcSize};
 use graphpim_graph::CsrGraph;
@@ -81,15 +81,7 @@ fn parse_args() -> Options {
                     other => usage(&format!("unknown mode {other}")),
                 }
             }
-            "--scale" => {
-                opts.scale = match value("--scale").as_str() {
-                    "1k" => LdbcSize::K1,
-                    "10k" => LdbcSize::K10,
-                    "100k" => LdbcSize::K100,
-                    "1m" => LdbcSize::M1,
-                    other => usage(&format!("unknown scale {other}")),
-                }
-            }
+            "--scale" => opts.scale = parse_scale(&value("--scale")).unwrap_or_else(|e| usage(&e)),
             "--rmat" => {
                 opts.rmat = Some(
                     value("--rmat")

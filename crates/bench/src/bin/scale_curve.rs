@@ -26,8 +26,8 @@
 //! accidentally quadratic loader or a decoded-trace residency regression
 //! — long before the 1M tier.
 
-use graphpim::experiments::cache::json;
 use graphpim::experiments::{fig07, geomean, parse_scale, Experiments};
+use graphpim::json;
 use graphpim::tracestore::TraceStore;
 use graphpim_graph::generate::LdbcSize;
 use std::process::exit;

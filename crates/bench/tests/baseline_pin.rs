@@ -10,8 +10,8 @@
 //! never compared.
 
 use graphpim::config::PimMode;
-use graphpim::experiments::cache::json;
 use graphpim::experiments::{fig01, fig07, Experiments, EVAL_KERNELS};
+use graphpim::json;
 use graphpim::tracestore::TraceStore;
 use graphpim_graph::generate::LdbcSize;
 

@@ -13,11 +13,11 @@
 //! discipline as the [run cache](super::cache), so identical cached runs
 //! render identically everywhere.
 
-use super::cache::json::quote;
 use super::{
     ablation, fig01, fig02, fig04, fig07, fig09, fig10, fig11, fig12, fig13, fig14, fig15, fig16,
     fig17, hybrid, tables, Experiments, RunKey,
 };
+use crate::json::quote;
 
 /// One entry of the evaluation: a paper table or figure, or a study the
 /// paper discusses without plotting.
@@ -361,8 +361,8 @@ pub fn figure_json(fig: &str, ctx: &Experiments) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::cache::json;
     use crate::experiments::testctx;
+    use crate::json;
     use graphpim_graph::generate::LdbcSize;
 
     #[test]

@@ -24,14 +24,12 @@
 //! * `GRAPHPIM_CACHE_DIR=<dir>` — persistent run-cache directory
 //!   (default `<tmpdir>/graphpim-run-cache`).
 //! * `GRAPHPIM_NO_CACHE=1` — disable the persistent run cache.
-//! * `GRAPHPIM_TRACE_DIR=<dir>` — write one JSONL counter trace per
-//!   freshly simulated run (see [`crate::telemetry`]). Disk-cache hits
-//!   produce no trace; combine with `GRAPHPIM_NO_CACHE=1` to force
-//!   traces for every run.
 //! * `GRAPHPIM_PERFETTO_DIR=<dir>` — write one Chrome trace-event file
 //!   (`<key stem>.trace.json`, see [`crate::perfetto`]) per freshly
-//!   simulated run, openable in ui.perfetto.dev. Like
-//!   `GRAPHPIM_TRACE_DIR`, disk-cache hits produce no trace.
+//!   simulated run, openable in ui.perfetto.dev: superstep, core and
+//!   request spans, plus every counter at each superstep barrier and at
+//!   run end. Disk-cache hits produce no trace; combine with
+//!   `GRAPHPIM_NO_CACHE=1` to force traces for every run.
 //! * `GRAPHPIM_ATTRIB=1` — tag each fresh simulation with cycle
 //!   attribution ledgers ([`graphpim_sim::attrib`]); results gain
 //!   `attrib.*` counters while timing stays bit-identical.
@@ -42,14 +40,13 @@
 //! * `GRAPHPIM_STREAM_REPLAY=1|0` — memory-lean streaming mode: cached
 //!   traces stay in encoded form and replay frame by frame instead of
 //!   from a flat decoded buffer. Unset: on at the `1m` scale, off below
-//!   it. Results are bit-identical either way (pinned by tests), so this
-//!   knob is deliberately *not* part of
-//!   [`crate::fingerprint::RESULT_ENV_KNOBS`].
+//!   it. Results are bit-identical either way (pinned by tests), so no
+//!   store fingerprint covers it.
 //! * `GRAPHPIM_VALIDATE=1|0` — per-run conservation invariants (see
 //!   [`crate::validate`]). Unset: on in debug builds (so `cargo test`
 //!   enforces them), off in release sweeps. Never affects results, only
-//!   whether an inconsistent run panics — so it is deliberately *not*
-//!   part of [`crate::fingerprint::RESULT_ENV_KNOBS`].
+//!   whether an inconsistent run panics — so no store fingerprint
+//!   covers it.
 
 pub mod ablation;
 pub mod backends;
@@ -76,11 +73,10 @@ pub use cache::DiskCache;
 pub use profile::EngineProfile;
 
 use crate::config::{PimMode, SystemConfig};
-use crate::fingerprint::{fingerprint, result_env_fingerprint};
+use crate::fingerprint::fingerprint;
 use crate::metrics::RunMetrics;
 use crate::perfetto::PerfettoTrace;
 use crate::system::{Instrumentation, Source, SystemSim};
-use crate::telemetry::TraceExporter;
 use crate::tracestore::{TraceLookup, TraceStore, WorkloadKey};
 use graphpim_graph::generate::{GraphSpec, LdbcSize};
 use graphpim_graph::{CsrGraph, VertexId};
@@ -302,12 +298,7 @@ pub struct Experiments {
     disk: Option<DiskCache>,
     simulated: AtomicUsize,
     disk_hits: AtomicUsize,
-    /// Snapshot of [`crate::fingerprint::RESULT_ENV_KNOBS`], folded into
-    /// every store fingerprint.
-    env_fingerprint: String,
-    /// Where freshly simulated runs write JSONL counter traces.
-    trace_dir: Option<PathBuf>,
-    /// Where freshly simulated runs write Chrome trace-event spans.
+    /// Where freshly simulated runs write their Perfetto trace.
     perfetto_dir: Option<PathBuf>,
     /// Whether runs tag cycles with [`graphpim_sim::attrib`] ledgers
     /// (`attrib.*` counters). Observation-only, like tracing.
@@ -335,7 +326,7 @@ impl Experiments {
         let size = match std::env::var("GRAPHPIM_SCALE") {
             Err(std::env::VarError::NotPresent) => LdbcSize::K10,
             Err(e) => panic!("GRAPHPIM_SCALE is not valid unicode: {e}"),
-            Ok(v) => parse_scale(&v).unwrap_or_else(|err| panic!("{err}")),
+            Ok(v) => parse_scale(&v).unwrap_or_else(|err| panic!("GRAPHPIM_SCALE: {err}")),
         };
         Experiments::at_scale(size)
     }
@@ -347,10 +338,10 @@ impl Experiments {
     }
 
     /// Context at an explicit scale with an explicit disk cache
-    /// (`None` = in-memory memoization only). Tracing is taken from
-    /// `GRAPHPIM_TRACE_DIR` (off when unset); the instruction-trace
-    /// store from `GRAPHPIM_TRACE_STORE` / `GRAPHPIM_NO_TRACE_STORE`
-    /// (on by default).
+    /// (`None` = in-memory memoization only). Run tracing is taken from
+    /// `GRAPHPIM_PERFETTO_DIR` (off when unset), cycle attribution from
+    /// `GRAPHPIM_ATTRIB`; the instruction-trace store from
+    /// `GRAPHPIM_TRACE_STORE` / `GRAPHPIM_NO_TRACE_STORE` (on by default).
     pub fn with_cache(size: LdbcSize, disk: Option<DiskCache>) -> Self {
         Experiments {
             size,
@@ -359,8 +350,6 @@ impl Experiments {
             disk,
             simulated: AtomicUsize::new(0),
             disk_hits: AtomicUsize::new(0),
-            env_fingerprint: result_env_fingerprint(),
-            trace_dir: std::env::var_os("GRAPHPIM_TRACE_DIR").map(PathBuf::from),
             perfetto_dir: std::env::var_os("GRAPHPIM_PERFETTO_DIR").map(PathBuf::from),
             attribution: std::env::var_os("GRAPHPIM_ATTRIB").is_some(),
             trace_store: TraceStore::from_env(),
@@ -399,30 +388,13 @@ impl Experiments {
         self.trace_store.as_ref()
     }
 
-    /// Same context with an explicit trace directory: every freshly
-    /// simulated run writes `<dir>/<key stem>.jsonl`. Tracing is
-    /// observation-only — metrics are bit-identical with it on or off.
-    pub fn with_trace_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.trace_dir = Some(dir.into());
-        self
-    }
-
-    /// The trace directory, if tracing is enabled.
-    pub fn trace_dir(&self) -> Option<&std::path::Path> {
-        self.trace_dir.as_deref()
-    }
-
     /// Same context with an explicit Perfetto directory: every freshly
     /// simulated run writes `<dir>/<key stem>.trace.json` (see
-    /// [`crate::perfetto`]). Observation-only, like [`Self::with_trace_dir`].
+    /// [`crate::perfetto`]). Tracing is observation-only — metrics are
+    /// bit-identical with it on or off.
     pub fn with_perfetto_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.perfetto_dir = Some(dir.into());
         self
-    }
-
-    /// The Perfetto trace directory, if span export is enabled.
-    pub fn perfetto_dir(&self) -> Option<&std::path::Path> {
-        self.perfetto_dir.as_deref()
     }
 
     /// Same context with cycle attribution forced on or off (overrides
@@ -432,11 +404,6 @@ impl Experiments {
     pub fn with_attribution(mut self, enabled: bool) -> Self {
         self.attribution = enabled;
         self
-    }
-
-    /// Whether cycle attribution is enabled for fresh simulations.
-    pub fn attribution(&self) -> bool {
-        self.attribution
     }
 
     /// A snapshot of the engine profile accumulated so far (per-run wall
@@ -591,20 +558,6 @@ impl Experiments {
         );
         let config = self.config_for(key);
         let make_instrumentation = || Instrumentation {
-            trace: self.trace_dir.as_ref().and_then(|dir| {
-                let path = dir.join(format!("{}.jsonl", key.file_stem()));
-                match TraceExporter::create(&path) {
-                    Ok(exporter) => Some(exporter),
-                    Err(e) => {
-                        crate::obs::warn(
-                            "trace",
-                            "cannot create trace exporter",
-                            &[("path", &path.display()), ("error", &e)],
-                        );
-                        None
-                    }
-                }
-            }),
             perfetto: self.perfetto_dir.as_ref().map(|dir| {
                 let mut perfetto =
                     PerfettoTrace::create(dir.join(format!("{}.trace.json", key.file_stem())));
@@ -665,7 +618,7 @@ impl Experiments {
             // The write-time warning already named the exact file; repeat
             // the run so sweep logs connect the warning to a figure row.
             crate::obs::warn(
-                "trace",
+                "perfetto",
                 "export failed for run (see preceding error)",
                 &[("key", &key.file_stem())],
             );
@@ -756,9 +709,9 @@ impl Experiments {
 
     /// Trace-store fingerprint: everything that determines the
     /// instruction trace — codec and crate versions, kernel, the full
-    /// input-graph recipe, thread count, and the result-affecting env
-    /// knobs. Deliberately excludes the timing configuration: that is
-    /// what makes one capture serve every sweep point.
+    /// input-graph recipe, and thread count. Deliberately excludes the
+    /// timing configuration: that is what makes one capture serve every
+    /// sweep point.
     fn trace_fingerprint(&self, key: &RunKey, threads: usize) -> u64 {
         fingerprint(&[
             &format!("codec-v{CODEC_VERSION}"),
@@ -771,7 +724,6 @@ impl Experiments {
                 key.kernel == "SSSP"
             ),
             &threads.to_string(),
-            &self.env_fingerprint,
         ])
     }
 
@@ -976,8 +928,9 @@ impl Experiments {
 
     /// Cache fingerprint: covers everything that can change the result of
     /// a run without changing its [`RunKey`] — schema and crate versions,
-    /// the fully resolved system configuration, the input-graph recipe,
-    /// and the [`RESULT_ENV_KNOBS`] snapshot.
+    /// the fully resolved system configuration, and the input-graph
+    /// recipe. No environment knob is part of it: `GRAPHPIM_SCALE` only
+    /// picks the context's default size, which every key already records.
     fn fingerprint(&self, key: &RunKey) -> u64 {
         cache::fingerprint(&[
             &cache::SCHEMA_VERSION.to_string(),
@@ -989,7 +942,6 @@ impl Experiments {
                 GRAPH_SEED,
                 key.kernel == "SSSP"
             ),
-            &self.env_fingerprint,
         ])
     }
 
@@ -1056,7 +1008,9 @@ fn stream_replay_from_env() -> Option<bool> {
     }
 }
 
-/// Parses a `GRAPHPIM_SCALE` value (case-insensitive).
+/// Parses a scale token (case-insensitive, surrounding whitespace
+/// ignored): the one parser behind `GRAPHPIM_SCALE`, the binaries'
+/// `--scale` flags, and the service's `?size=` parameter.
 pub fn parse_scale(value: &str) -> Result<LdbcSize, String> {
     match value.trim().to_ascii_lowercase().as_str() {
         "1k" => Ok(LdbcSize::K1),
@@ -1064,8 +1018,7 @@ pub fn parse_scale(value: &str) -> Result<LdbcSize, String> {
         "100k" => Ok(LdbcSize::K100),
         "1m" => Ok(LdbcSize::M1),
         other => Err(format!(
-            "unrecognized GRAPHPIM_SCALE value {other:?}; valid values: 1k, 10k, 100k, 1m \
-             (case-insensitive)"
+            "unrecognized scale {other:?}; valid values: 1k, 10k, 100k, 1m (case-insensitive)"
         )),
     }
 }
@@ -1217,7 +1170,9 @@ mod tests {
         assert_eq!(parse_scale("1M"), Ok(LdbcSize::M1));
         let err = parse_scale("10000").unwrap_err();
         assert!(err.contains("1k, 10k, 100k, 1m"), "helpful error: {err}");
-        assert!(parse_scale("").is_err());
+        for bad in ["", "2k", "1 k", "LDBC-1k"] {
+            assert!(parse_scale(bad).is_err(), "must reject {bad:?}");
+        }
     }
 
     #[test]
@@ -1331,7 +1286,7 @@ mod tests {
         let json = ctx
             .trace_slice_json("DC", LdbcSize::K1, (0, Some(2)))
             .expect("captured trace must slice");
-        let doc = cache::json::parse(&json).expect("slice output must parse");
+        let doc = crate::json::parse(&json).expect("slice output must parse");
         let obj = doc.as_object().unwrap();
         assert_eq!(obj.get("kernel").unwrap().as_str(), Some("DC"));
         let steps = obj.get("supersteps").unwrap().as_array().unwrap();
@@ -1340,7 +1295,7 @@ mod tests {
         // Full (unbounded) slice agrees with itself when re-read and is
         // marked exhausted.
         let full = ctx.trace_slice_json("DC", LdbcSize::K1, (0, None)).unwrap();
-        let fobj = cache::json::parse(&full).unwrap();
+        let fobj = crate::json::parse(&full).unwrap();
         assert_eq!(
             fobj.as_object()
                 .unwrap()

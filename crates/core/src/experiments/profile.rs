@@ -105,7 +105,7 @@ pub struct TraceStoreCounts {
     pub replays: usize,
     /// Replays that failed mid-stream and fell back to a live run.
     pub replay_fallbacks: usize,
-    /// Runs whose attached JSONL trace export failed to write.
+    /// Runs whose attached Perfetto trace failed to write.
     pub export_failures: usize,
 }
 
@@ -175,7 +175,7 @@ impl EngineProfile {
         self.trace.replay_fallbacks += 1;
     }
 
-    /// Counts a run whose JSONL trace export failed to write.
+    /// Counts a run whose Perfetto trace failed to write.
     pub fn note_trace_export_failure(&mut self) {
         self.trace.export_failures += 1;
     }
@@ -278,7 +278,7 @@ impl EngineProfile {
         if self.trace.export_failures > 0 {
             let _ = writeln!(
                 s,
-                "[profile] WARNING: {} JSONL trace exports failed to write \
+                "[profile] WARNING: {} run trace exports failed to write \
                  (traces on disk are incomplete)",
                 self.trace.export_failures
             );
@@ -429,7 +429,7 @@ mod tests {
             wall_seconds: 0.25,
             busy_seconds: 0.25,
         });
-        let doc = crate::experiments::cache::json::parse(&p.to_json()).expect("valid JSON");
+        let doc = crate::json::parse(&p.to_json()).expect("valid JSON");
         let top = doc.as_object().unwrap();
         let runs = top.get("runs").unwrap().as_array().unwrap();
         assert_eq!(runs.len(), 1);
@@ -472,13 +472,13 @@ mod tests {
         let summary = p.summary();
         assert!(summary.contains("trace store: 1 captures"));
         assert!(summary.contains("2 replays"));
-        assert!(summary.contains("WARNING: 1 JSONL trace exports failed"));
+        assert!(summary.contains("WARNING: 1 run trace exports failed"));
         let reg = p.tracestore_counters();
         assert_eq!(reg.get("tracestore.captures"), Some(1.0));
         assert_eq!(reg.get("tracestore.replays"), Some(2.0));
         assert_eq!(reg.get("tracestore.export_failures"), Some(1.0));
         // The JSON dump stays parseable with the new section.
-        let doc = crate::experiments::cache::json::parse(&p.to_json()).expect("valid JSON");
+        let doc = crate::json::parse(&p.to_json()).expect("valid JSON");
         let ts = doc
             .as_object()
             .unwrap()
@@ -492,7 +492,7 @@ mod tests {
     #[test]
     fn empty_profile_json_is_parseable() {
         let p = EngineProfile::default();
-        assert!(crate::experiments::cache::json::parse(&p.to_json()).is_some());
+        assert!(crate::json::parse(&p.to_json()).is_some());
         assert!(p.slowest().is_none());
         assert_eq!(p.simulated_seconds(), 0.0);
     }

@@ -2,27 +2,11 @@
 //!
 //! Both on-disk stores — the [run cache](crate::experiments::cache) and
 //! the [trace store](crate::tracestore) — invalidate entries by hashing
-//! everything that can change their contents: configuration, input-graph
-//! recipe, schema/codec versions, and the result-affecting environment
-//! knobs. This module is the single home of that plumbing, so a knob like
-//! `GRAPHPIM_SCALE` can never end up covered by one store's fingerprint
-//! but forgotten by the other's.
-
-/// Environment knobs that change simulation *results* (not just where or
-/// how fast they are computed). Their values are snapshotted into every
-/// store fingerprint at context creation, so flipping one forces a miss
-/// instead of silently replaying stale results.
-pub const RESULT_ENV_KNOBS: &[&str] = &["GRAPHPIM_SCALE"];
-
-/// Snapshot of [`RESULT_ENV_KNOBS`] for store fingerprints.
-pub fn result_env_fingerprint() -> String {
-    let mut s = String::new();
-    for knob in RESULT_ENV_KNOBS {
-        use std::fmt::Write as _;
-        let _ = write!(s, "{knob}={:?};", std::env::var(knob).ok());
-    }
-    s
-}
+//! everything that can change their contents: the resolved configuration,
+//! the input-graph recipe, the schema/codec versions, and the crate
+//! version. No environment knob is hashed: the one that picks what runs,
+//! `GRAPHPIM_SCALE`, only sets the context's default size, and every run
+//! key and graph recipe already records the size it runs at.
 
 /// FNV-1a hash over the given parts (with separators, so part boundaries
 /// matter). Used as the config fingerprint of every store entry.
@@ -48,13 +32,5 @@ mod tests {
         assert_ne!(fingerprint(&["ab", "c"]), fingerprint(&["a", "bc"]));
         assert_ne!(fingerprint(&["x"]), fingerprint(&["x", ""]));
         assert_eq!(fingerprint(&["x", "y"]), fingerprint(&["x", "y"]));
-    }
-
-    #[test]
-    fn env_snapshot_names_every_knob() {
-        let snap = result_env_fingerprint();
-        for knob in RESULT_ENV_KNOBS {
-            assert!(snap.contains(knob), "snapshot must mention {knob}");
-        }
     }
 }

@@ -20,8 +20,9 @@
 //! [`analytic`] implements the paper's CPI model (Equations 1–2);
 //! [`energy`] the uncore energy breakdown (Figure 15);
 //! [`experiments`] one driver per paper table/figure;
-//! [`telemetry`] the JSONL event-trace exporter behind
-//! `GRAPHPIM_TRACE_DIR`; and [`validate`] the validation layer —
+//! [`perfetto`] the per-run trace behind `GRAPHPIM_PERFETTO_DIR`
+//! (superstep spans plus a counter snapshot at every barrier);
+//! [`json`] the one JSON codec; and [`validate`] the validation layer —
 //! config checking, per-run conservation invariants (default-on in
 //! tests via `GRAPHPIM_VALIDATE`), and the sim-vs-analytic differential
 //! harness.
@@ -47,12 +48,12 @@ pub mod config;
 pub mod energy;
 pub mod experiments;
 pub mod fingerprint;
+pub mod json;
 pub mod metrics;
 pub mod obs;
 pub mod perfetto;
 pub mod pou;
 pub mod report;
 pub mod system;
-pub mod telemetry;
 pub mod tracestore;
 pub mod validate;

@@ -52,9 +52,9 @@ pub struct RunMetrics {
     /// Total cycles of main-memory service experienced by demand requests
     /// (the "uncore time" proxy of Table VIII).
     pub memory_service_cycles: f64,
-    /// Whether an attached JSONL trace export failed to write completely.
-    /// The metrics themselves are still valid (telemetry is
-    /// observation-only), but the trace file on disk must not be trusted.
+    /// Whether the run's attached Perfetto trace failed to write. The
+    /// metrics themselves are still valid (tracing is observation-only),
+    /// but the trace file on disk must not be trusted.
     pub trace_export_failed: bool,
 }
 
@@ -163,7 +163,8 @@ impl RunMetrics {
 
     /// Reports every counter of this run into `sink` under the same
     /// namespaces the live system uses (`core.*`, `mem.*`, `hmc.*`,
-    /// `system.*`), so finalized metrics and trace snapshots agree.
+    /// `system.*`), so finalized metrics and the trace's counter events
+    /// agree.
     pub fn report_telemetry(&self, sink: &mut dyn Telemetry) {
         self.core.report_telemetry("core", sink);
         self.l1.report_telemetry("mem.l1", sink);

@@ -24,7 +24,7 @@
 
 pub mod prom;
 
-use crate::experiments::cache::json::quote;
+use crate::json::quote;
 use std::collections::HashSet;
 use std::fmt::Display;
 use std::fmt::Write as _;

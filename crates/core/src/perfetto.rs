@@ -1,10 +1,15 @@
-//! Chrome trace-event export for ui.perfetto.dev.
+//! Chrome trace-event export for ui.perfetto.dev: the one per-run trace.
 //!
-//! A [`PerfettoTrace`] accumulates spans during a run and writes one
+//! A [`PerfettoTrace`] accumulates events during a run and writes one
 //! `trace.json` in the Chrome trace-event format (the JSON array flavor
-//! Perfetto ingests directly). The simulator emits three row groups:
+//! Perfetto ingests directly). The simulator emits these row groups:
 //!
-//! * **pid 0 — supersteps**: one span per superstep barrier interval;
+//! * **pid 0 — supersteps**: one span per superstep barrier interval,
+//!   and one counter event (`"ph":"C"`) at every barrier and at run end
+//!   carrying every registered counter (`core.*`, `mem.*`, `hmc.*`
+//!   including the per-vault histograms, `system.*`, and `attrib.*` when
+//!   attribution is on). The last counter event equals the run's
+//!   `RunMetrics::counter_registry()` bit for bit;
 //! * **pid 1 — cores**: per-core busy / barrier-stall spans;
 //! * **pid 2 — requests**: sampled memory-request lifecycles with their
 //!   queue/FU waits as span arguments;
@@ -17,13 +22,16 @@
 //! Timestamps are simulated CPU cycles reported in the format's
 //! microsecond field (1 cycle = 1 "µs"), which keeps the UI's zoom and
 //! duration arithmetic exact — absolute wall time is meaningless for a
-//! simulator anyway.
+//! simulator anyway. Numbers use Rust's shortest round-trip float
+//! formatting, so [`crate::json`] reads every value back exactly.
 //!
-//! Like the JSONL [`crate::telemetry::TraceExporter`], the writer buffers
-//! everything in memory and touches the filesystem only in
-//! [`PerfettoTrace::write`], so export cannot perturb timing.
+//! The writer buffers everything in memory and touches the filesystem
+//! only in [`PerfettoTrace::write`], so export cannot perturb timing, and
+//! a run that fails before it finalizes leaves no file.
 
-use crate::experiments::cache::json::quote;
+use crate::json::quote;
+use graphpim_sim::telemetry::CounterRegistry;
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -139,17 +147,18 @@ impl PerfettoTrace {
             quote(name),
             quote(cat),
         );
-        if !args.is_empty() {
-            event.push_str(",\"args\":{");
-            for (i, (key, value)) in args.iter().enumerate() {
-                if i > 0 {
-                    event.push(',');
-                }
-                event.push_str(&format!("{}:{value:?}", quote(key)));
-            }
-            event.push('}');
-        }
-        event.push('}');
+        push_args(&mut event, args.iter().copied());
+        self.events.push(event);
+    }
+
+    /// Records a counter event (`ph: "C"`, named `counters`, on the pid-0
+    /// supersteps row) at `ts` cycles, one argument per counter. The UI
+    /// draws one track per key (`counters <key>`); a reader takes the
+    /// `args` of the last counter event for the run's final counters.
+    pub fn counters(&mut self, ts: f64, counters: &CounterRegistry) {
+        let mut event =
+            format!("{{\"name\":\"counters\",\"ph\":\"C\",\"ts\":{ts:?},\"pid\":0,\"tid\":0");
+        push_args(&mut event, counters.iter());
         self.events.push(event);
     }
 
@@ -187,10 +196,25 @@ impl PerfettoTrace {
     }
 }
 
+/// Appends `,"args":{...}` (nothing when `args` is empty) and closes the
+/// event object.
+fn push_args<'a>(event: &mut String, args: impl Iterator<Item = (&'a str, f64)>) {
+    let mut first = true;
+    for (key, value) in args {
+        event.push_str(if first { ",\"args\":{" } else { "," });
+        first = false;
+        let _ = write!(event, "{}:{value:?}", quote(key));
+    }
+    if !first {
+        event.push('}');
+    }
+    event.push('}');
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::cache::json;
+    use crate::json;
 
     #[test]
     fn span_and_metadata_round_trip_through_parser() {
@@ -226,6 +250,36 @@ mod tests {
         let args = span.get("args").and_then(|v| v.as_object()).expect("args");
         assert_eq!(args.get("bank_wait").and_then(|v| v.as_f64()), Some(4.0));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn counter_event_round_trips_bit_exactly() {
+        let mut reg = CounterRegistry::default();
+        reg.record("core.instructions", 812_993.0);
+        reg.record("system.total_cycles", 123_456.789_012_345_6);
+        reg.record("core.tiny", 1.5e-9);
+        reg.record("core.sum", 0.1 + 0.2); // 0.30000000000000004
+        reg.record("hmc.huge", 1e300);
+        reg.record("mem.l1.hits", 0.0);
+        let mut trace = PerfettoTrace::create("unused.json");
+        trace.counters(42.5, &reg);
+        trace.counters(43.0, &CounterRegistry::default());
+        let doc = json::parse(&format!("[{}]", trace.events.join(","))).expect("valid JSON");
+        let events = doc.as_array().unwrap();
+        let event = events[0].as_object().unwrap();
+        assert_eq!(event.get("ph").and_then(|v| v.as_str()), Some("C"));
+        assert_eq!(event.get("ts").and_then(|v| v.as_f64()), Some(42.5));
+        let Some(json::Value::Object(args)) = event.get("args") else {
+            panic!("args is an object");
+        };
+        assert_eq!(args.len(), reg.len());
+        for ((key, value), (got_key, got)) in reg.iter().zip(args) {
+            assert_eq!(key, got_key);
+            let got = got.as_f64().expect("numeric counter");
+            assert_eq!(got.to_bits(), value.to_bits(), "counter {key}");
+        }
+        let empty = events[1].as_object().unwrap();
+        assert!(empty.get("args").is_none(), "no counters, no args");
     }
 
     #[test]

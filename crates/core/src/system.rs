@@ -13,17 +13,17 @@
 //!
 //! Every simulation goes through [`SystemSim::run`], which drives one
 //! [`Source`] — a live framework workload, a decoded trace, or encoded
-//! trace bytes — on the calling thread. With a [`TraceExporter`] in the
-//! run's [`Instrumentation`], the simulator additionally snapshots every
-//! telemetry counter at each superstep barrier and once more at run end.
-//! Collection is pull-based (components are read, never notified), so a
-//! traced run produces bit-identical [`RunMetrics`].
+//! trace bytes — on the calling thread. With a [`PerfettoTrace`] in the
+//! run's [`Instrumentation`], the simulator additionally records every
+//! telemetry counter as a counter event at each superstep barrier and
+//! once more at run end. Collection is pull-based (components are read,
+//! never notified), so a traced run produces bit-identical
+//! [`RunMetrics`].
 
 use crate::config::{PimMode, SystemConfig};
 use crate::metrics::RunMetrics;
 use crate::perfetto::PerfettoTrace;
 use crate::pou::{AtomicPath, Pou};
-use crate::telemetry::TraceExporter;
 use graphpim_graph::generate::SplitMix64;
 use graphpim_graph::CsrGraph;
 use graphpim_sim::attrib::CoreAttrib;
@@ -67,9 +67,8 @@ pub enum Source<'a> {
 /// simulated timing bit-identical.
 #[derive(Debug, Default)]
 pub struct Instrumentation {
-    /// Superstep counter snapshots (JSONL; see [`TraceExporter`]).
-    pub trace: Option<TraceExporter>,
-    /// Chrome trace-event span export (see [`PerfettoTrace`]).
+    /// Chrome trace-event export of spans and per-superstep counters
+    /// (see [`PerfettoTrace`]).
     pub perfetto: Option<PerfettoTrace>,
     /// Cycle-attribution ledgers, reported under `attrib.*` keys.
     pub attribution: bool,
@@ -77,11 +76,10 @@ pub struct Instrumentation {
 
 impl Instrumentation {
     /// Builds the instrumentation the environment asks for:
-    /// `GRAPHPIM_TRACE_DIR`, `GRAPHPIM_PERFETTO_DIR`, and `GRAPHPIM_ATTRIB`
-    /// (presence-checked). `label` names the output files.
+    /// `GRAPHPIM_PERFETTO_DIR` and `GRAPHPIM_ATTRIB` (presence-checked).
+    /// `label` names the output file.
     pub fn from_env(label: &str) -> Instrumentation {
         Instrumentation {
-            trace: TraceExporter::from_env(label),
             perfetto: PerfettoTrace::from_env(label),
             attribution: std::env::var_os("GRAPHPIM_ATTRIB").is_some(),
         }
@@ -105,7 +103,6 @@ pub struct SystemSim {
     uncached_writes: u64,
     uncached_atomics: u64,
     memory_service_cycles: f64,
-    trace: Option<TraceExporter>,
     perfetto: Option<PerfettoTrace>,
     attribution: bool,
     trace_export_failed: bool,
@@ -213,7 +210,6 @@ impl SystemSim {
             uncached_writes: 0,
             uncached_atomics: 0,
             memory_service_cycles: 0.0,
-            trace: None,
             perfetto: None,
             attribution: false,
             trace_export_failed: false,
@@ -230,16 +226,12 @@ impl SystemSim {
     /// Attaches a run's observers. Each is observation-only: metrics stay
     /// bit-identical with any combination attached.
     fn instrument(&mut self, instrumentation: Instrumentation) {
-        if let Some(trace) = instrumentation.trace {
-            // Counters are snapshotted at every superstep barrier and at
-            // run end; the backend's per-vault histograms feed them.
-            self.backend.enable_vault_telemetry();
-            self.trace = Some(trace);
-        }
         if let Some(mut perfetto) = instrumentation.perfetto {
             // Supersteps, per-core busy/stall spans, and sampled request
-            // lifecycles, written as Chrome trace-event JSON when the run
-            // finalizes.
+            // lifecycles, plus every counter at each barrier and at run
+            // end (the backend's per-vault histograms feed them), written
+            // as Chrome trace-event JSON when the run finalizes.
+            self.backend.enable_vault_telemetry();
             perfetto.process_name(0, "supersteps");
             perfetto.process_name(1, "cores");
             perfetto.process_name(2, "requests (sampled)");
@@ -393,8 +385,8 @@ impl SystemSim {
 
     /// Every telemetry counter of the live system, pulled into one
     /// registry. The same namespaces as
-    /// [`RunMetrics::report_telemetry`], so the trace's final snapshot
-    /// agrees with the finalized metrics.
+    /// [`RunMetrics::report_telemetry`], so the trace's final counter
+    /// event agrees with the finalized metrics.
     fn collect_counters(&self, total_cycles: Cycle) -> CounterRegistry {
         let mut reg = CounterRegistry::default();
         self.aggregated_core_stats()
@@ -477,32 +469,17 @@ impl SystemSim {
                 total_cycles,
                 &[],
             );
+            // Final counters: the only snapshot where
+            // `system.total_cycles` reflects the finished run.
+            perfetto.counters(total_cycles, &self.collect_counters(total_cycles));
             let path = perfetto.path().to_path_buf();
             if let Err(e) = perfetto.write() {
                 crate::obs::warn(
                     "perfetto",
-                    "cannot write span trace",
+                    "cannot write run trace",
                     &[("path", &path.display()), ("error", &e)],
                 );
                 self.trace_export_failed = true;
-            }
-        }
-        if self.trace.is_some() {
-            // Final snapshot: the only one where `system.total_cycles`
-            // reflects the finished run.
-            let counters = self.collect_counters(total_cycles);
-            if let Some(trace) = self.trace.take() {
-                let mut trace = trace;
-                let path = trace.path().to_path_buf();
-                trace.snapshot(self.superstep + 1, total_cycles, &counters);
-                if let Err(e) = trace.finish() {
-                    crate::obs::warn(
-                        "trace",
-                        "cannot write telemetry trace",
-                        &[("path", &path.display()), ("error", &e)],
-                    );
-                    self.trace_export_failed = true;
-                }
             }
         }
         let agg = self.aggregated_core_stats();
@@ -917,10 +894,10 @@ impl TraceConsumer for SystemSim {
         self.max_pim_done = release;
         self.superstep += 1;
         self.step_start = release;
-        if self.trace.is_some() {
+        if self.perfetto.is_some() {
             let counters = self.collect_counters(release);
-            if let Some(trace) = &mut self.trace {
-                trace.snapshot(self.superstep, release, &counters);
+            if let Some(perfetto) = &mut self.perfetto {
+                perfetto.counters(release, &counters);
             }
         }
     }
@@ -1224,17 +1201,19 @@ mod tests {
             crate::tracestore::capture_kernel(&mut Bfs::new(0), &small_graph(), threads);
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x08;
-        let path =
-            std::env::temp_dir().join(format!("graphpim-corrupt-{}.jsonl", std::process::id()));
+        // The whole-buffer checksum fails before the first frame exists.
+        assert!(TraceReader::new(&bytes).is_err());
+        let path = std::env::temp_dir().join(format!(
+            "graphpim-corrupt-{}.trace.json",
+            std::process::id()
+        ));
         let instrumentation = Instrumentation {
-            trace: Some(TraceExporter::create(&path).expect("create trace")),
+            perfetto: Some(PerfettoTrace::create(&path)),
             ..Instrumentation::default()
         };
         assert!(SystemSim::run(&config, Source::Encoded(&bytes), instrumentation).is_err());
-        // The whole-buffer checksum fails before the first frame is
-        // simulated, so not even one barrier snapshot was taken.
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
-        let _ = std::fs::remove_file(&path);
+        // The run never finalized, so no trace was written.
+        assert!(!path.exists());
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! and writes the per-kernel deltas as a JSON report; CI runs it at the
 //! 1k scale and uploads the report as an artifact.
 
-use crate::experiments::cache::json::quote;
 use crate::experiments::{fig16, Experiments};
+use crate::json::quote;
 use std::fmt::Write as _;
 
 /// Kernels whose GraphPIM speedup the CPI model is expected to predict
@@ -371,7 +371,7 @@ mod tests {
         let report = evaluate(&rows, &Tolerance::default(), "1k");
         let json = report.to_json();
         // Round-trips through the same minimal parser the run cache uses.
-        let value = crate::experiments::cache::json::parse(&json).expect("valid json");
+        let value = crate::json::parse(&json).expect("valid json");
         let top = value.as_object().unwrap();
         assert_eq!(top.get("passed").unwrap().as_bool(), Some(true));
         assert_eq!(top.get("scale").unwrap().as_str(), Some("1k"));

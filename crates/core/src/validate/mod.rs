@@ -310,8 +310,9 @@ pub fn check_run(m: &RunMetrics, counters: &CounterRegistry) -> Vec<Violation> {
 
     // Counter coherence: the registry pulled from the live components must
     // agree, key for key, with the finalized metrics' own registry (this is
-    // what guarantees trace snapshots match the figures). All counters are
-    // u64s far below 2^53 or exact cycle floats, so equality is exact.
+    // what guarantees the trace's counter events match the figures). All
+    // counters are u64s far below 2^53 or exact cycle floats, so equality
+    // is exact.
     let finalized = m.counter_registry();
     for (key, value) in finalized.iter() {
         match counters.get(key) {

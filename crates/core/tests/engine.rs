@@ -113,6 +113,38 @@ fn disk_cache_misses_on_different_run_parameters() {
 }
 
 #[test]
+fn entry_under_another_fingerprint_is_stale() {
+    let dir = tmp_dir("stale");
+    let key = RunKey::new("DC", PimMode::Baseline, LdbcSize::K1);
+
+    let first = Experiments::with_cache(LdbcSize::K1, Some(DiskCache::at(&dir)));
+    let want = first.metrics_for(&key);
+    drop(first);
+
+    // Re-file the entry under a fingerprint no context computes: the run
+    // is still on disk, but for another configuration.
+    let stem = key.file_stem();
+    let entry = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.file_name().unwrap().to_str().unwrap().starts_with(&stem))
+        .expect("entry written");
+    std::fs::rename(&entry, dir.join(format!("{stem}-{:016x}.json", 0))).unwrap();
+
+    let second = Experiments::with_cache(LdbcSize::K1, Some(DiskCache::at(&dir)));
+    assert_eq!(second.metrics_for(&key), want);
+    assert_eq!(second.simulations_executed(), 1, "stale entry re-simulates");
+    assert_eq!(second.disk_cache_hits(), 0);
+    assert_eq!(
+        second.profile().disk_stale(),
+        1,
+        "a sibling entry is classified stale, not miss"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn traced_replay_is_bit_identical() {
     let keys = eval_keys();
     let trace_dir = tmp_dir("traced");
@@ -122,7 +154,7 @@ fn traced_replay_is_bit_identical() {
     let expected: Vec<RunMetrics> = keys.iter().map(|k| plain.metrics_for(k)).collect();
 
     // Same sweep with tracing on: telemetry must be observation-only.
-    let traced = Experiments::with_cache(LdbcSize::K1, None).with_trace_dir(&trace_dir);
+    let traced = Experiments::with_cache(LdbcSize::K1, None).with_perfetto_dir(&trace_dir);
     traced.prewarm(keys.iter().cloned());
     for (key, want) in keys.iter().zip(&expected) {
         let got = traced.metrics_for(key);
@@ -132,7 +164,7 @@ fn traced_replay_is_bit_identical() {
             want.total_cycles.to_bits(),
             "cycle count not bit-identical under tracing for {key:?}"
         );
-        let trace_file = trace_dir.join(format!("{}.jsonl", key.file_stem()));
+        let trace_file = trace_dir.join(format!("{}.trace.json", key.file_stem()));
         assert!(trace_file.is_file(), "missing trace {trace_file:?}");
     }
 

@@ -78,7 +78,7 @@ fn concurrent_log_lines_never_tear() {
     let mut seen = std::collections::HashSet::new();
     let mut ours = 0usize;
     for line in &lines {
-        let doc = graphpim::experiments::cache::json::parse(line)
+        let doc = graphpim::json::parse(line)
             .unwrap_or_else(|| panic!("torn or malformed line: {line:?}"));
         let obj = doc.as_object().expect("log record is an object");
         if obj.get("target").and_then(|v| v.as_str()) != Some("framing-test") {

@@ -6,8 +6,8 @@
 use graphpim::config::{PimMode, SystemConfig};
 use graphpim::experiments::{Experiments, RunKey};
 use graphpim::metrics::RunMetrics;
+use graphpim::perfetto::PerfettoTrace;
 use graphpim::system::{Instrumentation, Source, SystemSim};
-use graphpim::telemetry::TraceExporter;
 use graphpim::tracestore::{capture_kernel, TraceStore};
 use graphpim_graph::generate::{GraphSpec, LdbcSize};
 use graphpim_graph::CsrGraph;
@@ -233,17 +233,16 @@ fn mid_replay_decode_error_falls_back_to_live_run() {
             // The header and checksum pass, so the run starts; the bad
             // tag is only reached after the last barrier was simulated.
             assert!(TraceReader::new(bytes).is_ok());
-            let snapshots = store_dir.join("partial.jsonl");
+            let partial = store_dir.join("partial.trace.json");
             let instrumentation = Instrumentation {
-                trace: Some(TraceExporter::create(&snapshots).unwrap()),
+                perfetto: Some(PerfettoTrace::create(&partial)),
                 ..Instrumentation::default()
             };
             let config = SystemConfig::hpca(key.mode);
             let err = SystemSim::run(&config, Source::Encoded(bytes), instrumentation)
                 .expect_err("the resealed trace must fail mid-stream");
             assert!(bad_tag(&err), "unexpected error {err:?}");
-            let taken = std::fs::read_to_string(&snapshots).unwrap();
-            assert!(!taken.is_empty(), "supersteps ran before the error");
+            assert!(!partial.exists(), "a failed run leaves no trace file");
         } else {
             let err = DecodedTrace::decode(bytes).expect_err("decode must fail");
             assert!(bad_tag(&err), "unexpected error {err:?}");

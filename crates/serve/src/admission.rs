@@ -109,7 +109,7 @@ impl Shed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphpim::experiments::cache::json;
+    use graphpim::json;
 
     #[test]
     fn statuses_and_ids_are_stable() {

@@ -231,8 +231,7 @@ fn sweep(addr: &str, rest: &[String]) -> ! {
         std::process::exit(0);
     }
     // Pull the job id out of the acceptance document and stream events.
-    let job_id = graphpim::experiments::cache::json::parse(&text)
-        .and_then(|doc| doc.as_object()?.get("job")?.as_u64());
+    let job_id = graphpim::json::parse(&text).and_then(|doc| doc.as_object()?.get("job")?.as_u64());
     let Some(job_id) = job_id else {
         eprintln!("servectl: acceptance document has no job id");
         std::process::exit(1);

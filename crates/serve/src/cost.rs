@@ -276,8 +276,8 @@ mod tests {
         let graph = GraphSpec::uniform(100, 400).seed(1).build();
         model.seed_skew(LdbcSize::K1, &graph);
         let doc = model.snapshot_json();
-        let parsed = graphpim::experiments::cache::json::parse(&doc)
-            .unwrap_or_else(|| panic!("snapshot must parse: {doc}"));
+        let parsed =
+            graphpim::json::parse(&doc).unwrap_or_else(|| panic!("snapshot must parse: {doc}"));
         let obj = parsed.as_object().unwrap();
         assert_eq!(obj.get("observations").unwrap().as_u64(), Some(1));
     }

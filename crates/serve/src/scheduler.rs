@@ -22,9 +22,9 @@
 
 use crate::admission::{AdmissionPolicy, Shed};
 use crate::cost::CostModel;
-use graphpim::experiments::cache::json;
 use graphpim::experiments::profile::RunSource;
 use graphpim::experiments::{Experiments, RunKey};
+use graphpim::json;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};

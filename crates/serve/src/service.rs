@@ -35,9 +35,8 @@ use crate::admission::AdmissionPolicy;
 use crate::cost::CostModel;
 use crate::http::{ChunkedWriter, Request, Response};
 use crate::scheduler::{Job, Scheduler};
-use graphpim::experiments::cache::json;
-use graphpim::experiments::{figjson, Experiments, RunKey, TraceSliceError};
-use graphpim_graph::generate::LdbcSize;
+use graphpim::experiments::{figjson, parse_scale, Experiments, RunKey, TraceSliceError};
+use graphpim::json;
 use graphpim_sim::telemetry::Histogram;
 use std::fmt::Write as _;
 use std::io::{self, BufReader, BufWriter};
@@ -538,9 +537,9 @@ fn counters(shared: &Shared, stem: &str) -> Response {
 fn trace_slice(shared: &Shared, kernel: &str, req: &Request) -> Response {
     let size = match req.query_param("size") {
         None => shared.ctx.size(),
-        Some(s) => match parse_size(s) {
-            Some(size) => size,
-            None => {
+        Some(s) => match parse_scale(s) {
+            Ok(size) => size,
+            Err(_) => {
                 return Response::json(
                     400,
                     error_json(
@@ -577,16 +576,6 @@ fn trace_slice(shared: &Shared, kernel: &str, req: &Request) -> Response {
             };
             Response::json(status, error_json(id, &e.to_string()))
         }
-    }
-}
-
-fn parse_size(s: &str) -> Option<LdbcSize> {
-    match s.to_ascii_lowercase().as_str() {
-        "1k" => Some(LdbcSize::K1),
-        "10k" => Some(LdbcSize::K10),
-        "100k" => Some(LdbcSize::K100),
-        "1m" => Some(LdbcSize::M1),
-        _ => None,
     }
 }
 
@@ -762,19 +751,22 @@ mod tests {
         assert_eq!(parse_range("9"), None);
     }
 
+    /// `?size=` goes through the same parser as `run_kernel --scale` and
+    /// `GRAPHPIM_SCALE`, so it accepts exactly the CLI scale spellings.
     #[test]
     fn size_parser_matches_the_cli_scales() {
-        assert_eq!(parse_size("1k"), Some(LdbcSize::K1));
-        assert_eq!(parse_size("10K"), Some(LdbcSize::K10));
-        assert_eq!(parse_size("100k"), Some(LdbcSize::K100));
-        assert_eq!(parse_size("1M"), Some(LdbcSize::M1));
-        assert_eq!(parse_size("2k"), None);
+        use graphpim_graph::generate::LdbcSize;
+        assert_eq!(parse_scale("1k"), Ok(LdbcSize::K1));
+        assert_eq!(parse_scale("10K"), Ok(LdbcSize::K10));
+        assert_eq!(parse_scale("100k"), Ok(LdbcSize::K100));
+        assert_eq!(parse_scale("1M"), Ok(LdbcSize::M1));
+        assert!(parse_scale("2k").is_err());
     }
 
     #[test]
     fn error_documents_escape_quotes() {
         let doc = error_json("x", "a \"quoted\" thing");
-        assert!(graphpim::experiments::cache::json::parse(&doc).is_some());
+        assert!(graphpim::json::parse(&doc).is_some());
     }
 
     #[test]
@@ -792,8 +784,8 @@ mod tests {
         assert!(stats.endpoints.is_poisoned());
         stats.record("GET /healthz", 300.0);
         let doc = stats.to_json();
-        let parsed = graphpim::experiments::cache::json::parse(&doc)
-            .unwrap_or_else(|| panic!("must still parse: {doc}"));
+        let parsed =
+            graphpim::json::parse(&doc).unwrap_or_else(|| panic!("must still parse: {doc}"));
         let healthz = parsed
             .as_object()
             .unwrap()
@@ -811,8 +803,7 @@ mod tests {
         stats.record("GET /healthz", 250.0);
         stats.record("GET /figures/{fig}", 900.0);
         let doc = stats.to_json();
-        let parsed = graphpim::experiments::cache::json::parse(&doc)
-            .unwrap_or_else(|| panic!("must parse: {doc}"));
+        let parsed = graphpim::json::parse(&doc).unwrap_or_else(|| panic!("must parse: {doc}"));
         let obj = parsed.as_object().unwrap();
         let healthz = obj.get("GET /healthz").unwrap().as_object().unwrap();
         assert_eq!(healthz.get("count").unwrap().as_u64(), Some(2));

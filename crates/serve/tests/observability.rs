@@ -9,8 +9,8 @@
 //! the repo's cache directories.
 
 use graphpim::config::PimMode;
-use graphpim::experiments::cache::json;
 use graphpim::experiments::{Experiments, RunKey};
+use graphpim::json;
 use graphpim::obs::prom;
 use graphpim_graph::generate::LdbcSize;
 use graphpim_serve::http::client;

@@ -9,8 +9,8 @@
 //! cache directories.
 
 use graphpim::config::PimMode;
-use graphpim::experiments::cache::json;
 use graphpim::experiments::{figjson, Experiments, RunKey};
+use graphpim::json;
 use graphpim_graph::generate::LdbcSize;
 use graphpim_serve::http::client;
 use graphpim_serve::{AdmissionPolicy, ServeConfig, ServerHandle};
@@ -82,6 +82,15 @@ fn boot_health_stats_and_typed_errors() {
     assert_eq!((status, error_id(&doc).as_str()), (409, "figure_uncached"));
     let (status, doc) = get_json(&addr, "/no/such/route");
     assert_eq!((status, error_id(&doc).as_str()), (404, "not_found"));
+    let (status, doc) = get_json(&addr, "/traces/DC?size=2k");
+    assert_eq!((status, error_id(&doc).as_str()), (400, "invalid_size"));
+    // Size tokens are case-insensitive, as for `GRAPHPIM_SCALE`: this one
+    // parses and reaches the (disabled) trace store.
+    let (status, doc) = get_json(&addr, "/traces/DC?size=1K");
+    assert_eq!(
+        (status, error_id(&doc).as_str()),
+        (404, "trace_store_disabled")
+    );
     let (status, _) = client::post(&addr, "/healthz", "{}").expect("request");
     assert_eq!(status, 404, "POST to a GET-only route is an unknown route");
     let (status, body) =

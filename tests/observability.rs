@@ -1,18 +1,19 @@
-//! Observability integration tests: cycle attribution, Perfetto span
-//! export, and the guarantee that neither perturbs the simulation.
+//! Observability integration tests: cycle attribution, the Perfetto run
+//! trace (spans and counter events), and the guarantee that neither
+//! perturbs the simulation.
 //!
 //! Attribution closure is also enforced run-by-run by the validation
 //! layer (tests run with validation on), but these tests assert it
 //! end-to-end through the export path a user actually reads.
 
 use graphpim::config::{PimMode, SystemConfig};
-use graphpim::experiments::cache::json;
+use graphpim::json;
 use graphpim::metrics::RunMetrics;
 use graphpim::perfetto::PerfettoTrace;
 use graphpim::system::{Instrumentation, Source, SystemSim};
-use graphpim::telemetry::{TraceExporter, TraceSnapshot};
 use graphpim_graph::generate::{GraphSpec, LdbcSize};
 use graphpim_graph::CsrGraph;
+use graphpim_sim::telemetry::CounterRegistry;
 use graphpim_workloads::kernels::{by_name, KernelParams};
 use std::path::{Path, PathBuf};
 
@@ -34,11 +35,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// Runs BFS under `mode` with full instrumentation writing into `dir`.
 fn run_instrumented(graph: &CsrGraph, mode: PimMode, dir: &Path) -> RunMetrics {
     let mut kernel = by_name("BFS", KernelParams::default()).expect("BFS exists");
-    let trace = TraceExporter::create(dir.join("run.jsonl")).expect("create trace");
-    let perfetto = PerfettoTrace::create(dir.join("run.trace.json"));
     let instr = Instrumentation {
-        trace: Some(trace),
-        perfetto: Some(perfetto),
+        perfetto: Some(PerfettoTrace::create(dir.join("run.trace.json"))),
         attribution: true,
     };
     SystemSim::run(
@@ -49,11 +47,30 @@ fn run_instrumented(graph: &CsrGraph, mode: PimMode, dir: &Path) -> RunMetrics {
     .expect("a live run decodes no trace")
 }
 
-/// The final JSONL snapshot of the run written into `dir`.
-fn final_snapshot(dir: &Path) -> TraceSnapshot {
-    let text = std::fs::read_to_string(dir.join("run.jsonl")).expect("trace written");
-    let last = text.lines().last().expect("non-empty trace");
-    TraceSnapshot::parse_line(last).expect("parsable snapshot")
+/// The final counters of the run written into `dir`: the `args` of the
+/// trace's last counter event.
+fn final_counters(dir: &Path) -> CounterRegistry {
+    let text = std::fs::read_to_string(dir.join("run.trace.json")).expect("trace written");
+    let doc = json::parse(&text).expect("valid JSON");
+    let events = doc
+        .as_object()
+        .and_then(|o| o.get("traceEvents"))
+        .and_then(|v| v.as_array())
+        .expect("traceEvents array");
+    let last = events
+        .iter()
+        .rev()
+        .filter_map(|e| e.as_object())
+        .find(|e| e.get("ph").and_then(|v| v.as_str()) == Some("C"))
+        .expect("a counter event");
+    let Some(json::Value::Object(args)) = last.get("args") else {
+        panic!("counter event has args");
+    };
+    let mut counters = CounterRegistry::default();
+    for (key, value) in args {
+        counters.record(key, value.as_f64().expect("numeric counter"));
+    }
+    counters
 }
 
 fn close(a: f64, b: f64) -> bool {
@@ -65,11 +82,11 @@ fn attribution_closes_in_the_exported_snapshot() {
     let graph = test_graph();
     let dir = temp_dir("closure");
     let m = run_instrumented(&graph, PimMode::GraphPim, &dir);
-    let snap = final_snapshot(&dir);
+    let counters = final_counters(&dir);
     let get = |key: &str| {
-        snap.counters
+        counters
             .get(key)
-            .unwrap_or_else(|| panic!("snapshot has {key}"))
+            .unwrap_or_else(|| panic!("final counters have {key}"))
     };
 
     // Core ledger: buckets telescope into busy, busy + idle = machine.
@@ -166,6 +183,7 @@ fn perfetto_trace_matches_expected_schema() {
     let mut names = Vec::new();
     let mut span_count = 0usize;
     let mut metadata_count = 0usize;
+    let mut counter_count = 0usize;
     for event in events {
         let obj = event.as_object().expect("every event is an object");
         let name = obj
@@ -192,12 +210,24 @@ fn perfetto_trace_matches_expected_schema() {
                 assert!(dur >= 0.0, "{name} duration is non-negative");
             }
             "M" => metadata_count += 1,
+            "C" => {
+                counter_count += 1;
+                assert!(
+                    obj.get("ts").and_then(|v| v.as_f64()).is_some(),
+                    "{name} has ts"
+                );
+                assert!(obj.get("args").and_then(|v| v.as_object()).is_some());
+            }
             other => panic!("unexpected phase {other} on {name}"),
         }
         names.push(name.to_string());
     }
     assert!(span_count > 0, "spans present");
     assert!(metadata_count > 0, "row-naming metadata present");
+    assert!(
+        counter_count >= 2,
+        "barrier and final counter events present"
+    );
     for expected in ["process_name", "thread_name", "busy"] {
         assert!(
             names.iter().any(|n| n == expected),
